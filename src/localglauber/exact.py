@@ -256,15 +256,24 @@ def tv_curve(
         starts = np.arange(space.size)
     starts = np.asarray(starts, dtype=np.int64)
     mu = stationary_uniform(space)
+    # Two starts x Q blocks: V holds the distributions, W receives V @ P and
+    # then, once V is no longer needed, |V - mu| for the TV row.
     V = np.zeros((len(starts), space.size))
+    W = np.empty_like(V)
     V[np.arange(len(starts)), starts] = 1.0
-    tv_rows = [0.5 * np.abs(V - mu).sum(axis=1)]
+
+    def tv_row(dist, scratch):
+        np.abs(np.subtract(dist, mu, out=scratch), out=scratch)
+        return 0.5 * scratch.sum(axis=1)
+
+    tv_rows = [tv_row(V, W)]
     t = 0
     while t < max_rounds:
         if stop_tv is not None and tv_rows[-1].max() <= stop_tv:
             break
-        V = V @ P
-        tv_rows.append(0.5 * np.abs(V - mu).sum(axis=1))
+        np.matmul(V, P, out=W)
+        V, W = W, V
+        tv_rows.append(tv_row(V, W))
         t += 1
     per_start = np.stack(tv_rows, axis=1)
     return TVCurve(start_indices=starts, rounds=np.arange(per_start.shape[1]), per_start=per_start)

@@ -2,51 +2,87 @@
 
 Nodes are dense integers ``0..n-1`` so that colorings can live in flat
 numpy arrays. Graphs are immutable after construction and safe to share.
+Construction and the generators work on numpy edge arrays; the per-node
+``adjacency`` tuples are built only when something asks for them.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import ParameterError, ParseError, ValidationError
+from .errors import ParameterError, ParseError, ResourceLimitError, ValidationError
 
 GENERATOR_FAMILIES = ("cycle", "path", "complete", "star", "grid2d", "erdos_renyi")
+
+# Largest node count of any graph, and largest number of node pairs that
+# `complete` and `erdos_renyi` enumerate. Checked before anything of that
+# size is allocated; it also keeps the u*n+v edge keys inside int64.
+SIZE_CAP = 1 << 24
+
+# Uniforms drawn at once by erdos_renyi (whole rows, at least one row).
+_ER_CHUNK = 1 << 20
 
 
 class Graph:
     """Undirected simple graph over nodes ``0..n-1``.
 
+    `edges` is an (m, 2) integer array or any iterable of (u, v) pairs;
+    duplicates in either orientation collapse.
+
     Attributes:
         node_count: number of nodes n.
-        adjacency: tuple of sorted neighbor tuples, one per node.
-        max_degree: largest adjacency-list length (0 for edgeless graphs).
         edge_src, edge_dst: aligned int64 arrays listing every directed
-            orientation of every edge; used by the vectorized dynamics.
+            orientation of every edge, sorted by source, then destination
+            (so `edge_dst` is the CSR column array); used by the vectorized
+            dynamics.
+        max_degree: largest degree (0 for edgeless graphs).
+        adjacency: tuple of sorted neighbor tuples, one per node, built on
+            first use.
     """
 
-    __slots__ = ("node_count", "adjacency", "max_degree", "edge_src", "edge_dst")
+    __slots__ = ("node_count", "max_degree", "edge_src", "edge_dst", "_adjacency")
 
     def __init__(self, node_count: int, edges) -> None:
         if node_count < 1:
             raise ParameterError(f"node_count must be >= 1, got {node_count}")
-        neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValidationError(f"edge ({u},{v}) outside [0,{node_count})")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
+        _check_cap(node_count, "nodes")
+        n = operator.index(node_count)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            uv = np.asarray(edges, dtype=np.int64)
+        except OverflowError:  # ids beyond int64 are out of range; find them as Python ints
+            uv = np.asarray(edges, dtype=object)
+        if uv.size == 0:
+            uv = uv.reshape(0, 2)
+        elif uv.shape[1:] != (2,):
+            raise ValueError(f"edges must be (u, v) pairs, got an array of shape {uv.shape}")
+        u, v = uv[:, 0], uv[:, 1]
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            bu, bv = uv[np.argmax(bad)].tolist()
+            if bu == bv:
+                raise ValidationError(f"self-loop at node {bu}")
+            raise ValidationError(f"edge ({bu},{bv}) outside [0,{n})")
+        # One key per directed orientation; sorting orders them by (source,
+        # destination) and puts duplicates next to each other.
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         self.node_count = node_count
-        self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.max_degree = max((len(s) for s in neighbor_sets), default=0)
-        src, dst = [], []
-        for u, nbrs in enumerate(self.adjacency):
-            src.extend([u] * len(nbrs))
-            dst.extend(nbrs)
-        self.edge_src = np.asarray(src, dtype=np.int64)
-        self.edge_dst = np.asarray(dst, dtype=np.int64)
+        self.edge_src, self.edge_dst = np.divmod(keys, n)
+        self.max_degree = int(np.bincount(self.edge_src).max()) if keys.size else 0
+        self._adjacency = None
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        if self._adjacency is None:
+            ends = np.cumsum(np.bincount(self.edge_src, minlength=self.node_count)).tolist()
+            dst = self.edge_dst.tolist()
+            self._adjacency = tuple(tuple(dst[a:b]) for a, b in zip([0] + ends[:-1], ends))
+        return self._adjacency
 
     @property
     def edge_count(self) -> int:
@@ -54,7 +90,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list with u < v, sorted."""
-        return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
+        up = self.edge_src < self.edge_dst
+        return list(zip(self.edge_src[up].tolist(), self.edge_dst[up].tolist()))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -66,27 +103,16 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count}, max_degree={self.max_degree})"
 
 
+def _check_cap(count: int, what: str) -> None:
+    if count > SIZE_CAP:
+        raise ResourceLimitError(f"{count:,} {what} exceed the graph size cap of {SIZE_CAP:,}")
+
+
 def neighbors_inclusive(g: Graph, v: int) -> set[int]:
     """The closed neighborhood N(v) together with v itself."""
     if not (0 <= v < g.node_count):
         raise IndexError(f"node {v} out of range [0,{g.node_count})")
     return set(g.adjacency[v]) | {v}
-
-
-def validate_graph(g: Graph) -> None:
-    """Full-scan check of the symmetry / simplicity / max-degree invariants."""
-    n = g.node_count
-    for u in range(n):
-        nbrs = g.adjacency[u]
-        if len(set(nbrs)) != len(nbrs):
-            raise ValidationError(f"duplicate neighbor in adjacency of {u}")
-        if u in nbrs:
-            raise ValidationError(f"self-loop at {u}")
-        for v in nbrs:
-            if u not in g.adjacency[v]:
-                raise ValidationError(f"asymmetric edge ({u},{v})")
-    if g.max_degree != max((len(a) for a in g.adjacency), default=0):
-        raise ValidationError("max_degree out of sync with adjacency")
 
 
 def generate(family: str, seed: int = 0, **params) -> Graph:
@@ -97,48 +123,65 @@ def generate(family: str, seed: int = 0, **params) -> Graph:
         grid2d(rows>=1, cols>=1), erdos_renyi(n>=1, p in [0,1]).
 
     The result is a pure function of (family, params, seed); only
-    erdos_renyi consumes the seed.
+    erdos_renyi consumes the seed. Sizes above SIZE_CAP nodes (or node
+    pairs, for complete and erdos_renyi) raise ResourceLimitError.
     """
-    if family == "cycle":
-        n = _size(params, "n")
-        if n < 3:
-            raise ParameterError("cycle needs n >= 3")
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if family == "path":
-        n = _size(params, "n")
-        return Graph(n, [(i, i + 1) for i in range(n - 1)])
-    if family == "complete":
-        n = _size(params, "n")
-        return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if family == "star":
-        n = _size(params, "n")
-        return Graph(n, [(0, i) for i in range(1, n)])
     if family == "grid2d":
         rows = _size(params, "rows")
         cols = _size(params, "cols")
-        idx = lambda r, c: r * cols + c
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    edges.append((idx(r, c), idx(r, c + 1)))
-                if r + 1 < rows:
-                    edges.append((idx(r, c), idx(r + 1, c)))
-        return Graph(rows * cols, edges)
-    if family == "erdos_renyi":
-        n = _size(params, "n")
+        n = rows * cols
+        _check_cap(n, "nodes")
+        idx = np.arange(n, dtype=np.int64).reshape(rows, cols)
+        u = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+        v = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
+        return Graph(n, np.array((u, v)).T)
+    if family not in GENERATOR_FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; expected one of {GENERATOR_FAMILIES}")
+    n = _size(params, "n")
+    _check_cap(n, "nodes")
+    nodes = np.arange(n, dtype=np.int64)
+    if family == "cycle":
+        if n < 3:
+            raise ParameterError("cycle needs n >= 3")
+        u, v = nodes, (nodes + 1) % n
+    elif family == "path":
+        u, v = nodes[:-1], nodes[1:]
+    elif family == "star":
+        u, v = np.zeros(n - 1, dtype=np.int64), nodes[1:]
+    elif family == "complete":
+        _check_cap(n * (n - 1) // 2, "node pairs")
+        u, v = np.triu_indices(n, 1)
+    else:
         p = float(params.get("p", -1.0))
         if not 0.0 <= p <= 1.0:
             raise ParameterError(f"erdos_renyi needs p in [0,1], got {p}")
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64)))
-        edges = []
-        for i in range(n):
-            draw = rng.random(n - i - 1)
-            for off, j in enumerate(range(i + 1, n)):
-                if draw[off] < p:
-                    edges.append((i, j))
-        return Graph(n, edges)
-    raise ParameterError(f"unknown family {family!r}; expected one of {GENERATOR_FAMILIES}")
+        _check_cap(n * (n - 1) // 2, "node pairs")
+        u, v = _erdos_renyi_edges(n, p, seed)
+    return Graph(n, np.array((u, v)).T)
+
+
+def _erdos_renyi_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs i < j kept when their uniform is below p, as (i, j) arrays.
+
+    The uniforms come from one Philox stream in row-major order of the upper
+    triangle (row i holds j = i+1..n-1); they are drawn a block of whole
+    rows at a time, which yields the same numbers as one draw per row.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64)))
+    row_len = np.arange(n - 1, -1, -1, dtype=np.int64)
+    row_end = np.cumsum(row_len)
+    row_start = row_end - row_len
+    rows, cols = [], []
+    lo = 0
+    while lo < n:
+        start = int(row_start[lo])
+        hi = max(lo + 1, int(np.searchsorted(row_end, start + _ER_CHUNK, side="right")))
+        flat = np.flatnonzero(rng.random(int(row_end[hi - 1]) - start) < p) + start
+        i = np.searchsorted(row_end, flat, side="right")
+        rows.append(i)
+        cols.append(flat - row_start[i] + i + 1)
+        lo = hi
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 _MASK64 = (1 << 64) - 1
@@ -161,7 +204,8 @@ def parse_edge_list(text, remap_sparse_ids: bool = False):
 
     Blank lines and lines starting with '#' are ignored; duplicate edges
     collapse; self-loops are rejected. Node count is 1 + max id seen, so
-    ids absent from the file become isolated nodes.
+    ids absent from the file become isolated nodes; a node count above
+    SIZE_CAP raises ResourceLimitError.
 
     With remap_sparse_ids=True, ids are compacted to 0..n-1 in first-seen
     order and the return value is (graph, mapping) where mapping[original]

@@ -1,7 +1,47 @@
-"""Shared test utilities, including an independent reference implementation
-of the synchronous round used as an oracle against the vectorized one."""
+"""Shared test utilities, including independent reference implementations
+used as oracles: the set-based graph constructor the array-based `Graph`
+replaced, and the synchronous round the vectorized one implements."""
+
+import contextlib
+import resource
 
 import numpy as np
+
+from localglauber import ParameterError, ValidationError
+
+
+class ReferenceGraph:
+    """The set-based constructor `Graph` had before it was built from edge arrays."""
+
+    def __init__(self, node_count: int, edges) -> None:
+        if node_count < 1:
+            raise ParameterError(f"node_count must be >= 1, got {node_count}")
+        neighbor_sets: list[set[int]] = [set() for _ in range(node_count)]
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u == v:
+                raise ValidationError(f"self-loop at node {u}")
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise ValidationError(f"edge ({u},{v}) outside [0,{node_count})")
+            neighbor_sets[u].add(v)
+            neighbor_sets[v].add(u)
+        self.node_count = node_count
+        self.adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        self.max_degree = max((len(s) for s in neighbor_sets), default=0)
+        src, dst = [], []
+        for u, nbrs in enumerate(self.adjacency):
+            src.extend([u] * len(nbrs))
+            dst.extend(nbrs)
+        self.edge_src = np.asarray(src, dtype=np.int64)
+        self.edge_dst = np.asarray(dst, dtype=np.int64)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edge_src) // 2
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Undirected edge list with u < v, sorted."""
+        return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
 
 
 def reference_round(g, x, marked, proposal, order=None, enforce=True):
@@ -48,3 +88,36 @@ def random_graph_and_coloring(rng, n_max=12, q_max=7, proper=False):
         q = int(rng.integers(2, q_max + 1))
         x = rng.integers(0, q, size=n)
     return g, q, np.asarray(x, dtype=np.int64)
+
+
+def reference_erdos_renyi_edges(n, p, seed):
+    """The per-pair loop `generate("erdos_renyi")` ran before it drew rows in blocks."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed & ((1 << 64) - 1), 0], dtype=np.uint64)))
+    edges = []
+    for i in range(n):
+        draw = rng.random(n - i - 1)
+        for off, j in enumerate(range(i + 1, n)):
+            if draw[off] < p:
+                edges.append((i, j))
+    return edges
+
+
+@contextlib.contextmanager
+def address_space_limit(extra_bytes=1 << 30):
+    """Cap this process's address space at its current size plus `extra_bytes`.
+
+    Tests of size caps run under it, so that a cap that stopped firing shows
+    up as a MemoryError instead of an attempt to allocate the hostile size.
+    """
+    with open("/proc/self/status", encoding="ascii") as fh:
+        vm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = vm_kib * 1024 + extra_bytes
+    for cap in (soft, hard):
+        if cap != resource.RLIM_INFINITY:
+            limit = min(limit, cap)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

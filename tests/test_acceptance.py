@@ -248,9 +248,10 @@ EPS_LIST = (0.25, 0.25 / E, 0.25 / E**2)
 # 1,136.9 GiB as float64) the module's default cap must refuse, and the same
 # exact run goes ahead only where physical memory holds what it needs.
 CRITERION8_ENTRY_CAP = 2**28
-# tv_curve holds at most three starts x Q float64 blocks at once: the
-# distributions, their product with P, and the TV temporaries.
-TV_BLOCKS = 3
+# tv_curve holds two starts x Q float64 blocks at once: the distributions,
+# and their product with P, which doubles as the TV scratch (tracemalloc
+# peak on C6 with 36 starts: 2.03 blocks, the rest being the Q-vector mu).
+TV_BLOCKS = 2
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

@@ -5,6 +5,8 @@ import pytest
 
 from localglauber.cli import main
 
+from helpers import address_space_limit
+
 
 def run(*argv):
     return main(list(argv))
@@ -72,6 +74,17 @@ class TestSample:
         )
         assert code == 0
         assert json.loads(out.read_text())["nodes"] == 3
+
+    def test_hostile_sizes_exit_3(self, tmp_path, capsys):
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 1000000000\n")
+        with address_space_limit():
+            assert run("sample", "--graph", str(edges), "--q", "5", "--gamma", "0.3") == 3
+            assert run(
+                "sample", "--gen", "grid2d", "--gen-args", "rows=100000,cols=100000",
+                "--q", "9", "--gamma", "0.1", "--rounds", "1",
+            ) == 3
+        assert capsys.readouterr().err.count("resource cap:") == 2
 
     @pytest.mark.parametrize("init", ["zeros", "random", "greedy"])
     def test_init_modes(self, tmp_path, init):

@@ -1,16 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localglauber import (
     Graph,
     ParameterError,
     ParseError,
+    ResourceLimitError,
     ValidationError,
     generate,
     neighbors_inclusive,
     parse_edge_list,
 )
-from localglauber.graph import validate_graph
+from localglauber import graph as graph_module
+from localglauber.graph import SIZE_CAP
+
+from helpers import ReferenceGraph, address_space_limit, reference_erdos_renyi_edges
 
 
 def test_cycle_structure():
@@ -55,7 +63,7 @@ def test_generator_invariants_hold():
         generate("erdos_renyi", n=10, p=1.0, seed=0),
     ]
     for g in cases:
-        validate_graph(g)
+        assert_same_graph(g, ReferenceGraph(g.node_count, g.edges()))
 
 
 def test_generator_parameter_errors():
@@ -139,3 +147,136 @@ def test_edge_arrays_consistent():
     assert len(g.edge_src) == 2 * g.edge_count
     back = set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
     assert all((v, u) in back for u, v in back)
+
+
+# --- the array-based constructor against the set-based one it replaced -----
+
+
+def assert_same_graph(g, ref):
+    assert g.node_count == ref.node_count
+    assert g.adjacency == ref.adjacency
+    for got, want in ((g.edge_src, ref.edge_src), (g.edge_dst, ref.edge_dst)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert g.max_degree == ref.max_degree
+    assert g.edges() == ref.edges()
+    assert g.edge_count == ref.edge_count
+
+
+@st.composite
+def edge_lists(draw, max_nodes=12):
+    """(n, edges): simple edges given as pairs with duplicates in both orientations."""
+    n = draw(st.integers(1, max_nodes))
+    edges = []
+    if n > 1:
+        ends = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        edges = [(u, (u + d) % n) for u, d in draw(st.lists(ends, max_size=3 * n))]
+    if edges:
+        again = draw(st.lists(st.sampled_from(edges), max_size=len(edges)))
+        edges += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+        edges = draw(st.permutations(edges))
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_matches_set_based_constructor(case):
+    n, edges = case
+    ref = ReferenceGraph(n, edges)
+    assert_same_graph(Graph(n, edges), ref)
+    assert_same_graph(Graph(n, iter(edges)), ref)
+    assert_same_graph(Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(), st.data())
+def test_bad_edges_raise_like_set_based_constructor(case, data):
+    n, edges = case
+    u = data.draw(st.integers(-3, n + 3) | st.integers(-(2**70), 2**70), label="u")
+    v = data.draw(st.just(u) | st.integers(-3, n + 3) | st.integers(-(2**70), 2**70), label="v")
+    if u != v and 0 <= u < n and 0 <= v < n:
+        v = u  # make it a self-loop
+    edges = list(edges)
+    edges.insert(data.draw(st.integers(0, len(edges)), label="at"), (u, v))
+    with pytest.raises(ValidationError) as want:
+        ReferenceGraph(n, edges)
+    with pytest.raises(ValidationError) as got:
+        Graph(n, edges)
+    assert str(got.value) == str(want.value)
+    if max(abs(u), abs(v)) < 2**63:
+        with pytest.raises(ValidationError) as got:
+            Graph(n, np.array(edges, dtype=np.int64))
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("node_count,edges,error", [
+    (0, [], ParameterError),
+    (-1, [], ParameterError),
+    (5, [(0, 1, 2), (2, 3, 4)], ValueError),
+    (3.0, [(0, 1)], TypeError),
+])
+def test_malformed_input_raises_like_set_based_constructor(node_count, edges, error):
+    with pytest.raises(error):
+        ReferenceGraph(node_count, edges)
+    with pytest.raises(error):
+        Graph(node_count, edges)
+
+
+def test_adjacency_built_once_on_first_use():
+    g = generate("grid2d", rows=3, cols=3)
+    assert g.adjacency is g.adjacency
+    assert g.adjacency[4] == (1, 3, 5, 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1),
+       chunk=st.integers(1, 60))
+def test_erdos_renyi_block_draws_match_per_row_draws(n, p, seed, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_ER_CHUNK", chunk)
+        g = generate("erdos_renyi", n=n, p=p, seed=seed)
+    assert_same_graph(g, ReferenceGraph(n, reference_erdos_renyi_edges(n, p, seed)))
+
+
+# sha256 of edge_src then edge_dst (little-endian int64), recorded from the
+# set-based constructor and the per-pair erdos_renyi loop.
+GOLDEN_GRAPHS = [
+    (("grid2d", 0, {"rows": 316, "cols": 316}), "f42f249690922fbafa2b45c7c0b0ef976f90f07eb923c4af026cae8da23f4b05"),
+    (("erdos_renyi", 202, {"n": 200, "p": 0.03}), "8aa64a1cf19c611169a887fd9ca8c04860cb56966236efbd9c627b35ae357ed4"),
+    (("erdos_renyi", 4, {"n": 50, "p": 0.08}), "c865bf0d8cf9c97dcf3a78174db6661b655f84ccee34c45175bececb9d24c374"),
+    (("erdos_renyi", 9, {"n": 2000, "p": 0.01}), "7bb50e6794987fd01a40a4bc7cfccd406a460112d93016810a038fee8570a45d"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", GOLDEN_GRAPHS, ids=["grid316", "er200", "er50", "er2000"])
+def test_generated_graphs_match_golden_digests(spec, digest):
+    family, seed, params = spec
+    g = generate(family, seed=seed, **params)
+    h = hashlib.sha256()
+    for arr in (g.edge_src, g.edge_dst):
+        h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    assert h.hexdigest() == digest
+
+
+# --- the size cap: refused before anything of the hostile size is allocated --
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_edge_list("0 1000000000"),
+    lambda: parse_edge_list(f"0 {SIZE_CAP}"),
+    lambda: parse_edge_list("0 100000000000000000000000"),
+    lambda: generate("grid2d", rows=100_000, cols=100_000),
+    lambda: generate("grid2d", rows=SIZE_CAP + 1, cols=1),
+    lambda: generate("cycle", n=10**12),
+    lambda: generate("complete", n=10**5),
+    lambda: generate("erdos_renyi", n=10**5, p=0.001),
+    lambda: Graph(SIZE_CAP + 1, []),
+], ids=["parse-1e9", "parse-cap", "parse-1e23", "grid-1e10", "grid-cap", "cycle-1e12",
+        "complete-5e9-pairs", "er-5e9-pairs", "graph-cap"])
+def test_size_cap_raises_resource_limit(build):
+    with address_space_limit(), pytest.raises(ResourceLimitError):
+        build()
+
+
+def test_size_cap_boundary_is_allowed():
+    assert Graph(SIZE_CAP, []).node_count == SIZE_CAP
