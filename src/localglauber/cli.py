@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from . import analysis, coupling, dynamics, exact
+from ._stream import stream
 from .errors import (
     InfeasibleError,
     ParameterError,
@@ -168,7 +169,9 @@ def _resolve_q(args, g: Graph) -> int:
     if args.q is not None and args.alpha is not None:
         raise ParameterError("--q and --alpha are mutually exclusive")
     if args.q is not None:
-        return int(args.q)
+        if not isinstance(args.q, int):
+            raise ParameterError(f"q must be an integer, got {args.q!r}")
+        return args.q
     if args.alpha is not None:
         if g.max_degree == 0:
             raise ParameterError("--alpha needs a graph with at least one edge")
@@ -185,13 +188,19 @@ def _resolve_gamma(args, g: Graph, q: int):
     if str(raw) == "auto":
         if g.max_degree == 0:
             raise ParameterError("gamma=auto needs a graph with at least one edge")
-        alpha = q / g.max_degree
-        opt = analysis.optimize_gamma(alpha)
-        if not opt.feasible:
-            raise InfeasibleError(f"no contractive gamma for alpha={_fmt(alpha)}")
+        opt = analysis.require_contractive_gamma(q / g.max_degree)
         return opt.gamma, opt
-    gamma = float(raw)
-    return gamma, None
+    return float(raw), None
+
+
+def _contraction_margin(g: Graph, q: int, gamma: float):
+    """delta_wrapup(q/D, gamma) inside the bound's domain (2*gamma/alpha < 1), else None."""
+    if g.max_degree == 0:
+        return None
+    alpha = q / g.max_degree
+    if 2.0 * gamma / alpha >= 1.0:
+        return None
+    return analysis.delta_wrapup(alpha, gamma)
 
 
 def _seed(args) -> int:
@@ -262,13 +271,8 @@ def cmd_sample(args) -> int:
     if args.rounds is not None:
         rounds = int(args.rounds)
     else:
-        if opt is not None:
-            delta = opt.delta
-        elif g.max_degree > 0 and 2.0 * gamma * g.max_degree / q < 1.0:
-            delta = analysis.delta_wrapup(q / g.max_degree, gamma)
-        else:
-            delta = 0.0
-        if delta <= 0.0:
+        delta = opt.delta if opt is not None else _contraction_margin(g, q, gamma)
+        if delta is None or delta <= 0.0:
             raise ParameterError("no positive contraction margin at this gamma; pass --rounds explicitly")
         rounds = analysis.mixing_bound(delta, g.node_count, eps)
 
@@ -276,8 +280,7 @@ def cmd_sample(args) -> int:
     if init == "zeros":
         x0 = dynamics.zeros_coloring(g)
     elif init == "random":
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 2**32], dtype=np.uint64)))
-        x0 = dynamics.random_coloring(g, q, rng)
+        x0 = dynamics.random_coloring(g, q, stream(seed, 2**32))
     else:
         x0 = dynamics.greedy_coloring(g, q)
 
@@ -368,7 +371,7 @@ def cmd_exact(args) -> int:
 def cmd_couple(args) -> int:
     g = _build_graph(args)
     q = _resolve_q(args, g)
-    gamma, opt = _resolve_gamma(args, g, q)
+    gamma, _ = _resolve_gamma(args, g, q)
     cfg = dynamics.ChainConfig(q=q, gamma=gamma, seed=_seed(args))
     trials = args.trials if args.trials is not None else 10_000
     sampler = args.pair_sampler or "uniform_random"
@@ -391,13 +394,11 @@ def cmd_couple(args) -> int:
                 "max_phi": est.max_phi,
             }
         )
-        if g.max_degree > 0:
-            alpha = q / g.max_degree
-            if 2.0 * gamma / alpha < 1.0:
-                delta = analysis.delta_wrapup(alpha, gamma)
-                report["delta_theory"] = delta
-                report["bound_mean_phi"] = 1.0 - delta
-                report["within_bound"] = bool(est.mean <= 1.0 - delta + 3.0 * est.stderr)
+        delta = _contraction_margin(g, q, gamma)
+        if delta is not None:
+            report["delta_theory"] = delta
+            report["bound_mean_phi"] = 1.0 - delta
+            report["within_bound"] = bool(est.mean <= 1.0 - delta + 3.0 * est.stderr)
     if (args.format or "json") == "csv":
         _emit_csv(tuple(report.keys()), [tuple(report.values())], args.out)
     else:

@@ -26,11 +26,12 @@ from enum import IntEnum
 
 import numpy as np
 
-from .dynamics import ChainConfig, RoundRandomness, apply_proposals, greedy_coloring, run_chain
+from ._stream import stream
+from .dynamics import (
+    ChainConfig, RoundRandomness, _marks_then_proposals, apply_proposals, greedy_coloring, run_chain,
+)
 from .errors import ParameterError, ValidationError
 from .graph import Graph
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def _flip_path_witness(g, layers, proposals, pair, v):
     if d == 1:
         # Predecessor is v0 itself; the lemma pins the proposal to the
         # opposite of v0's current color in each chain.
-        if v0_adjacent(g, pair.v0, v) and cxv == pair.b and cyv == pair.r:
+        if pair.v0 in g.adjacency[v] and cxv == pair.b and cyv == pair.r:
             return (pair.v0, v)
         return None
     nbrs = set(g.adjacency[v])
@@ -314,7 +315,7 @@ def _almost_flip_path_witness(g, layers, v):
         if not candidates:
             continue
         if d == 0:
-            return (layers_v0(layers), v)
+            return (next(iter(layers.M[0])), v)
         path = _chain_back(g, layers, candidates, d, (v,))
         if path is not None:
             return path
@@ -328,9 +329,9 @@ def _chain_back(g, layers, candidates, depth, suffix):
         if not level:
             return None
         if d == 1:
-            v0 = layers_v0(layers)
+            v0 = next(iter(layers.M[0]))
             for w, path in level.items():
-                if v0_adjacent(g, v0, w):
+                if v0 in g.adjacency[w]:
                     return (v0,) + path
             return None
         prev = {}
@@ -340,14 +341,6 @@ def _chain_back(g, layers, candidates, depth, suffix):
                     prev[u] = (u,) + path
         level = prev
     return None
-
-
-def layers_v0(layers: CouplingLayers) -> int:
-    return next(iter(layers.M[0]))
-
-
-def v0_adjacent(g: Graph, v0: int, w: int) -> bool:
-    return v0 in g.adjacency[w]
 
 
 @dataclass
@@ -417,20 +410,14 @@ def contraction_experiment(
         raise ParameterError("trials must be >= 0")
     if trials == 0:
         return ContractionEstimate(trials=0, mean=float("nan"), stderr=float("nan"), max_phi=0, lemma_failures=0)
-    n = g.node_count
     total = 0.0
     total_sq = 0.0
     max_phi = 0
     lemma_failures = 0
     for trial in range(trials):
-        key = np.array([cfg.seed & _MASK64, trial & _MASK64], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = stream(cfg.seed, trial)
         pair = sample_adjacent_pair(g, cfg.q, rng, sampler=pair_sampler, cfg=cfg, burn_rounds=burn_rounds)
-        rr = RoundRandomness(
-            marked=rng.random(n) < cfg.gamma,
-            proposal=rng.integers(0, cfg.q, size=n, dtype=np.int64),
-        )
-        step = coupled_step(g, pair, cfg, rr)
+        step = coupled_step(g, pair, cfg, _marks_then_proposals(rng, cfg, g.node_count))
         phi = hamming_distance(step.x_next, step.y_next)
         total += phi
         total_sq += phi * phi

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stream import stream
 from .errors import ParameterError, ValidationError
 from .graph import Graph
 
 # Documented fixed default; never derived from the clock.
 DEFAULT_SEED = 12345
-
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -39,16 +38,12 @@ class ChainConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if not isinstance(self.q, (int, np.integer)):
+            raise ParameterError(f"q must be an integer, got {self.q!r}")
         if self.q < 1:
             raise ParameterError(f"q must be >= 1, got {self.q}")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0,1), got {self.gamma}")
-
-    def alpha(self, g: Graph) -> float:
-        """Color-to-degree ratio q / max_degree for the given graph."""
-        if g.max_degree == 0:
-            raise ParameterError("alpha undefined for edgeless graphs")
-        return self.q / g.max_degree
 
 
 @dataclass(frozen=True)
@@ -73,20 +68,13 @@ def draw_round_randomness(cfg: ChainConfig, n: int, round_index: int) -> RoundRa
     """
     if round_index < 0:
         raise ParameterError("round_index must be >= 0")
-    key = np.array([cfg.seed & _MASK64, round_index & _MASK64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    return _marks_then_proposals(stream(cfg.seed, round_index), cfg, n)
+
+
+def _marks_then_proposals(rng: np.random.Generator, cfg: ChainConfig, n: int) -> RoundRandomness:
+    """n marks, then n proposals, from rng: the draw order every seeded stream relies on."""
     marked = rng.random(n) < cfg.gamma
-    proposal = rng.integers(0, cfg.q, size=n, dtype=np.int64)
-    return RoundRandomness(marked=marked, proposal=proposal)
-
-
-def effective_proposal(x: np.ndarray, rr: RoundRandomness, v: int) -> int:
-    """A node's proposal if marked, else its current color (footnote rule)."""
-    return int(rr.proposal[v]) if rr.marked[v] else int(x[v])
-
-
-def effective_proposals(x: np.ndarray, marked: np.ndarray, proposal: np.ndarray) -> np.ndarray:
-    return np.where(marked, proposal, x)
+    return RoundRandomness(marked=marked, proposal=rng.integers(0, cfg.q, size=n, dtype=np.int64))
 
 
 def apply_proposals(
@@ -145,40 +133,34 @@ class RoundStats:
     proper: bool
 
 
-def run_chain(g: Graph, cfg: ChainConfig, x0: np.ndarray, rounds: int) -> np.ndarray:
-    """Iterate the dynamics for `rounds` rounds from x0 (deterministic in cfg.seed)."""
+def run_chain(g: Graph, cfg: ChainConfig, x0: np.ndarray, rounds: int, observe=None) -> np.ndarray:
+    """Iterate the dynamics for `rounds` rounds from x0 (deterministic in cfg.seed).
+
+    `observe(t, rr, accepted, x)`, when given, runs after round t with that
+    round's randomness, its accepted mask and the new coloring.
+    """
     if rounds < 0:
         raise ParameterError("rounds must be >= 0")
     validate_coloring(g, cfg.q, x0)
     x = np.array(x0, dtype=np.int64)
     for t in range(rounds):
         rr = draw_round_randomness(cfg, g.node_count, t)
-        x = local_glauber_step(g, x, rr)
+        x, accepted = apply_proposals(g, x, rr.marked, rr.proposal)
+        if observe is not None:
+            observe(t, rr, accepted, x)
     return x
 
 
 def run_chain_trace(g: Graph, cfg: ChainConfig, x0: np.ndarray, rounds: int):
-    """Like run_chain but also collects per-round summary statistics."""
-    if rounds < 0:
-        raise ParameterError("rounds must be >= 0")
-    validate_coloring(g, cfg.q, x0)
-    x = np.array(x0, dtype=np.int64)
+    """run_chain that also returns one RoundStats per round."""
     trace: list[RoundStats] = []
-    for t in range(rounds):
-        rr = draw_round_randomness(cfg, g.node_count, t)
-        x, accepted = apply_proposals(g, x, rr.marked, rr.proposal)
+
+    def record(t, rr, accepted, x):
         n_marked = int(rr.marked.sum())
         n_accepted = int(accepted.sum())
-        trace.append(
-            RoundStats(
-                round_index=t,
-                marked=n_marked,
-                accepted=n_accepted,
-                conflicts=n_marked - n_accepted,
-                proper=is_proper(g, x),
-            )
-        )
-    return x, trace
+        trace.append(RoundStats(t, n_marked, n_accepted, n_marked - n_accepted, is_proper(g, x)))
+
+    return run_chain(g, cfg, x0, rounds, record), trace
 
 
 def sequential_glauber_step(g: Graph, q: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -209,6 +191,8 @@ def validate_coloring(g: Graph, q: int, x: np.ndarray) -> None:
     x = np.asarray(x)
     if x.shape != (g.node_count,):
         raise ValidationError(f"coloring length {x.shape} != node count {g.node_count}")
+    if not np.issubdtype(x.dtype, np.integer):
+        raise ValidationError(f"colors must be integers, got dtype {x.dtype}")
     if x.size and (x.min() < 0 or x.max() >= q):
         raise ValidationError(f"colors outside [0,{q})")
 

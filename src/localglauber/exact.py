@@ -322,32 +322,43 @@ def improper_mass_curve(P: np.ndarray, space: StateSpace, start_index: int, roun
     return np.asarray(masses)
 
 
-def _color_pattern(colors) -> tuple:
-    """Canonical relabeling: colors renamed by order of first appearance."""
-    relabel: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
-
-
 def symmetry_reduced_starts(space: StateSpace, node_automorphisms) -> np.ndarray:
     """One start state per orbit of the (graph automorphism x color relabeling) group.
 
     The dynamics commutes with node automorphisms and color permutations,
     and the uniform-proper target is invariant under both, so the TV curve
     from a start depends only on its orbit; the returned representatives
-    realize the exact maximum over all q^n starts.
+    (the smallest index of each orbit) realize the exact maximum over all
+    q^n starts.
     """
     perms = [np.asarray(p, dtype=np.int64) for p in node_automorphisms]
     if not perms:
         perms = [np.arange(space.graph.node_count, dtype=np.int64)]
-    reps: dict[tuple, int] = {}
-    for idx in range(space.size):
-        colors = space.states[idx]
-        canon = min(_color_pattern(colors[p]) for p in perms)
-        if canon not in reps:
-            reps[canon] = idx
-    return np.asarray(sorted(reps.values()), dtype=np.int64)
+    canon = None
+    for p in perms:
+        key = _color_pattern_index(space.states[:, p], space.q, space.q_powers)
+        canon = key if canon is None else np.minimum(canon, key)
+    _, first = np.unique(canon, return_index=True)
+    return np.sort(first)
+
+
+def _color_pattern_index(colors: np.ndarray, q: int, q_powers: np.ndarray) -> np.ndarray:
+    """Per row: the colors renamed by order of first appearance, as a base-q state index.
+
+    Scans the n positions once, vectorized over the rows; a pattern uses at
+    most q labels, so its index lies below q^n.
+    """
+    rows, n = colors.shape
+    slot = np.arange(rows, dtype=np.int64) * q
+    label_of = np.full(rows * q, -1, dtype=np.int64)    # (row, color) -> label, -1 until seen
+    used = np.zeros(rows, dtype=np.int64)               # labels handed out per row
+    index = np.zeros(rows, dtype=np.int64)
+    for j in range(n):
+        at = slot + colors[:, j]
+        label = label_of[at]
+        new = label < 0
+        label = np.where(new, used, label)
+        label_of[at] = label
+        used += new
+        index += label * q_powers[j]
+    return index

@@ -12,6 +12,7 @@ import operator
 
 import numpy as np
 
+from ._stream import stream
 from .errors import ParameterError, ParseError, ResourceLimitError, ValidationError
 
 GENERATOR_FAMILIES = ("cycle", "path", "complete", "star", "grid2d", "erdos_renyi")
@@ -93,12 +94,6 @@ class Graph:
         up = self.edge_src < self.edge_dst
         return list(zip(self.edge_src[up].tolist(), self.edge_dst[up].tolist()))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count}, max_degree={self.max_degree})"
 
@@ -106,13 +101,6 @@ class Graph:
 def _check_cap(count: int, what: str) -> None:
     if count > SIZE_CAP:
         raise ResourceLimitError(f"{count:,} {what} exceed the graph size cap of {SIZE_CAP:,}")
-
-
-def neighbors_inclusive(g: Graph, v: int) -> set[int]:
-    """The closed neighborhood N(v) together with v itself."""
-    if not (0 <= v < g.node_count):
-        raise IndexError(f"node {v} out of range [0,{g.node_count})")
-    return set(g.adjacency[v]) | {v}
 
 
 def generate(family: str, seed: int = 0, **params) -> Graph:
@@ -167,7 +155,7 @@ def _erdos_renyi_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndar
     triangle (row i holds j = i+1..n-1); they are drawn a block of whole
     rows at a time, which yields the same numbers as one draw per row.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64)))
+    rng = stream(seed, 0)
     row_len = np.arange(n - 1, -1, -1, dtype=np.int64)
     row_end = np.cumsum(row_len)
     row_start = row_end - row_len
@@ -182,9 +170,6 @@ def _erdos_renyi_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndar
         cols.append(flat - row_start[i] + i + 1)
         lo = hi
     return np.concatenate(rows), np.concatenate(cols)
-
-
-_MASK64 = (1 << 64) - 1
 
 
 def _size(params, key) -> int:

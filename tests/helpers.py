@@ -121,3 +121,22 @@ def address_space_limit(extra_bytes=1 << 30):
         yield
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def reference_symmetry_reduced_starts(space, node_automorphisms):
+    """The per-state loop `symmetry_reduced_starts` ran before it was vectorized."""
+
+    def color_pattern(colors):
+        relabel = {}
+        return tuple(relabel.setdefault(c, len(relabel)) for c in colors)
+
+    perms = [np.asarray(p, dtype=np.int64) for p in node_automorphisms]
+    if not perms:
+        perms = [np.arange(space.graph.node_count, dtype=np.int64)]
+    reps = {}
+    for idx in range(space.size):
+        colors = space.states[idx]
+        canon = min(color_pattern(colors[p].tolist()) for p in perms)
+        if canon not in reps:
+            reps[canon] = idx
+    return np.asarray(sorted(reps.values()), dtype=np.int64)

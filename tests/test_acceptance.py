@@ -267,7 +267,7 @@ def test_criterion_8_log_mixing_probe(n, gamma_star_25):
             lg.build_transition_matrix(g, cfg)  # the module's own cap refuses
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         need, parts = 8 * states * states, "the dense P alone"
-        if need <= phys:  # counting the starts takes ~26 s at n=8, so only when P fits
+        if need <= phys:  # the starts matter only when P fits (counting them takes ~2 s at n=8)
             reps = lg.symmetry_reduced_starts(space, lg.cycle_automorphisms(n))
             need += TV_BLOCKS * 8 * len(reps) * states
             parts = f"the dense P plus {TV_BLOCKS} TV blocks of {len(reps)} starts"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -98,6 +99,23 @@ class TestSample:
         if init == "greedy":
             assert data["proper"] is True
 
+    def test_random_init_golden_stdout(self, capsys):
+        # Recorded before the CLI's hand-built Philox key became stream(seed, 2**32).
+        code = run(
+            "sample", "--gen", "erdos_renyi", "--gen-args", "n=60,p=0.08", "--q", "9",
+            "--gamma", "0.3", "--rounds", "40", "--init", "random", "--seed", "5",
+        )
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "fe62a710d346397d35d29251f1eb7877469826b39344653b3ee2c49f47e433e1")
+
+    def test_no_contraction_margin_needs_explicit_rounds(self, capsys):
+        # gamma 0.9 at alpha 2.5 lies inside the bound's domain with a negative
+        # margin; at alpha 1.5 it lies outside (2*gamma/alpha >= 1).
+        for q in ("5", "3"):
+            assert run("sample", "--gen", "cycle", "--gen-args", "n=6", "--q", q, "--gamma", "0.9") == 1
+        assert capsys.readouterr().err.count("pass --rounds explicitly") == 2
+
 
 class TestExact:
     def test_triangle_all_checks_pass(self, tmp_path):
@@ -161,6 +179,17 @@ class TestCouple:
         data = json.loads(out.read_text())
         assert data["lemma_violations"] == 0
         assert data["within_bound"] is True
+
+    def test_theory_fields_only_inside_the_bound_domain(self, capsys):
+        # 2*gamma/alpha = 0.72 at q=5, 1.2 at q=3 (outside the domain of delta).
+        for q, has_theory in (("5", True), ("3", False)):
+            assert run(
+                "couple", "--gen", "cycle", "--gen-args", "n=6", "--q", q,
+                "--gamma", "0.9", "--trials", "20",
+            ) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert ("delta_theory" in data) is has_theory
+            assert ("within_bound" in data) is has_theory
 
 
 class TestAnalyze:
@@ -241,6 +270,17 @@ class TestConfigAndDeterminism:
         assert run("sample", "--config", str(cfg), "--rounds", "0", "--out", str(out2)) == 0
         assert json.loads(out1.read_text())["rounds"] == 2
         assert json.loads(out2.read_text())["rounds"] == 0
+
+    @pytest.mark.parametrize("command", ["sample", "exact", "couple"])
+    def test_non_integer_q_in_config_rejected(self, tmp_path, capsys, command):
+        # q = 2.5 used to be truncated to 2 and the run went ahead.
+        cfg = tmp_path / "run.cfg"
+        extra = {"sample": "rounds = 2\n", "exact": "", "couple": "trials = 2\n"}[command]
+        cfg.write_text("gen = cycle\ngen-args = n=4\nq = 2.5\ngamma = 0.3\n" + extra)
+        assert run(command, "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q must be an integer, got 2.5" in captured.err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

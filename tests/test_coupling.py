@@ -309,3 +309,16 @@ class TestContractionExperiment:
         g = generate("cycle", n=8)
         with pytest.raises(ParameterError):
             contraction_experiment(g, ChainConfig(q=5, gamma=0.3), trials=10, pair_sampler="bogus")
+
+    @pytest.mark.parametrize("sampler,trials,expected", [
+        ("uniform_random", 300, [300, "0x1.c28f5c28f5c29p-1", "0x1.ce60e8f1eaea7p-6", 3, 0]),
+        ("proper_random", 40, [40, "0x1.999999999999ap-1", "0x1.4a3ae659bd065p-4", 2, 0]),
+    ])
+    def test_golden_estimates(self, sampler, trials, expected):
+        # Recorded before the per-trial streams and the round draw moved into
+        # shared helpers: ER(50, 0.08, seed 4), q = 2D+1, gamma 0.3, seed 6.
+        g = generate("erdos_renyi", n=50, p=0.08, seed=4)
+        cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=6)
+        est = contraction_experiment(g, cfg, trials, pair_sampler=sampler, check_lemmas=True)
+        fields = [est.trials, float(est.mean).hex(), float(est.stderr).hex(), est.max_phi, est.lemma_failures]
+        assert fields == expected

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from localglauber import (
@@ -10,7 +14,6 @@ from localglauber import (
     ValidationError,
     apply_proposals,
     draw_round_randomness,
-    effective_proposal,
     enumerate_proper_colorings,
     generate,
     greedy_coloring,
@@ -21,6 +24,8 @@ from localglauber import (
     sequential_glauber_step,
     zeros_coloring,
 )
+
+from localglauber._stream import stream
 
 from helpers import random_graph_and_coloring, reference_round
 
@@ -65,22 +70,28 @@ class TestRoundRandomness:
         with pytest.raises(ParameterError):
             draw_round_randomness(ChainConfig(q=3, gamma=0.2), 5, -1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70))
+    def test_stream_matches_inline_philox_key(self, seed, counter):
+        # The key every stream in the package was built from by hand before
+        # they shared one helper.
+        mask = (1 << 64) - 1
+        key = np.array([seed & mask, counter & mask], dtype=np.uint64)
+        old = np.random.Generator(np.random.Philox(key=key))
+        new = stream(seed, counter)
+        assert np.array_equal(new.bit_generator.state["state"]["key"], key)
+        assert np.array_equal(new.random(5), old.random(5))
+        assert np.array_equal(new.integers(0, 7, size=5), old.integers(0, 7, size=5))
 
-class TestEffectiveProposal:
-    def test_unmarked_uses_current_color(self):
-        x = np.array([3, 1])
-        r = rr([False, True], [0, 1])
-        assert effective_proposal(x, r, 0) == 3
 
-    def test_marked_uses_proposal(self):
-        x = np.array([3, 1])
-        r = rr([True, False], [1, 4])
-        assert effective_proposal(x, r, 0) == 1
+class TestChainConfig:
+    @pytest.mark.parametrize("q", [2.5, 3.0, "3", None])
+    def test_non_integer_q_rejected(self, q):
+        with pytest.raises(ParameterError):
+            ChainConfig(q=q, gamma=0.3)
 
-    def test_self_color_proposal_allowed(self):
-        x = np.array([2])
-        r = rr([True], [2])
-        assert effective_proposal(x, r, 0) == 2
+    def test_numpy_integer_q_accepted(self):
+        assert ChainConfig(q=np.int64(4), gamma=0.3).q == 4
 
 
 class TestLocalGlauberStep:
@@ -194,6 +205,53 @@ class TestRunChain:
             run_chain(g, cfg, np.array([0, 1, 2]), 1)
         with pytest.raises(ValidationError):
             run_chain(g, cfg, np.array([0, 1, 2, 3]), 1)
+
+    @pytest.mark.parametrize("x0", [np.array([0.5, 1.7, 2.9, 0.2]), np.array([0.0, 1.0, 2.0, 0.0]),
+                                    np.array([True, False, True, False]), np.array(["0", "1", "2", "0"])])
+    def test_non_integer_coloring_rejected(self, x0):
+        # Float colorings used to be truncated silently ([0.5, 1.7, 2.9, 0.2] ran as [0, 1, 2, 0]).
+        g = generate("cycle", n=4)
+        with pytest.raises(ValidationError):
+            run_chain(g, ChainConfig(q=3, gamma=0.2), x0, 2)
+
+    def test_observer_sees_every_round_of_the_trajectory(self):
+        g = generate("erdos_renyi", n=40, p=0.1, seed=9)
+        cfg = ChainConfig(q=g.max_degree + 2, gamma=0.5, seed=3)
+        x0 = greedy_coloring(g, cfg.q)
+        seen = []
+
+        def observe(t, rr, accepted, x):
+            expected = draw_round_randomness(cfg, g.node_count, t)
+            assert np.array_equal(rr.marked, expected.marked)
+            assert np.array_equal(rr.proposal, expected.proposal)
+            x_next, acc = apply_proposals(g, prev[-1], rr.marked, rr.proposal)
+            assert np.array_equal(accepted, acc) and np.array_equal(x, x_next)
+            prev.append(x)
+            seen.append(t)
+
+        prev = [x0]
+        final = run_chain(g, cfg, x0, 25, observe)
+        assert seen == list(range(25))
+        assert np.array_equal(final, prev[-1])
+        assert np.array_equal(final, run_chain(g, cfg, x0, 25))
+
+    def test_golden_digests(self):
+        # Recorded before the two round loops were merged into one driver:
+        # ER(200, 0.03, seed 202), q = D+2, gamma 0.5, seed 11, 300 rounds.
+        g = generate("erdos_renyi", n=200, p=0.03, seed=202)
+        cfg = ChainConfig(q=g.max_degree + 2, gamma=0.5, seed=11)
+        x = run_chain(g, cfg, greedy_coloring(g, cfg.q), 300)
+        assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == (
+            "17f18735d3c07d533d06f2b331aa38a146eb12a99f00a47e51123860dfb4d6d4")
+        # From all zeros the first 26 rounds end improper, so the proper flags vary too.
+        for x0, digest in (
+            (greedy_coloring(g, cfg.q), "431f8f92c96d0196687e1390b99efb85b240e62249965832624924c238a141f4"),
+            (zeros_coloring(g), "eed90bcccb7e8b48d3706ea2ed4f6c76b61a5c052b73b1724dbe8a7d94b70e52"),
+        ):
+            x, trace = run_chain_trace(g, cfg, x0, 300)
+            rows = np.array([(s.round_index, s.marked, s.accepted, s.conflicts, s.proper) for s in trace],
+                            dtype="<i8")
+            assert hashlib.sha256(x.astype("<i8").tobytes() + rows.tobytes()).hexdigest() == digest
 
 
 class TestSequentialGlauber:

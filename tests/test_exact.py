@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from localglauber import (
     tv_distance,
 )
 from localglauber.dynamics import apply_proposals
+
+from helpers import reference_symmetry_reduced_starts
 
 
 def chromatic_cycle(n, q):
@@ -228,7 +232,42 @@ class TestMixingTime:
         assert abs((taus[2] - taus[1]) - (taus[1] - taus[0])) <= 1
 
 
+def _path_group(n):
+    return [np.arange(n), np.arange(n)[::-1]]
+
+
+# (graph, q, automorphism group); an empty list means the identity alone.
+SYMMETRY_CASES = {
+    "C3q5": (generate("cycle", n=3), 5, cycle_automorphisms(3)),
+    "C4q4": (generate("cycle", n=4), 4, cycle_automorphisms(4)),
+    "C5q2": (generate("cycle", n=5), 2, cycle_automorphisms(5)),
+    "C5q5": (generate("cycle", n=5), 5, cycle_automorphisms(5)),
+    "C6q3": (generate("cycle", n=6), 3, cycle_automorphisms(6)),
+    "C6q4": (generate("cycle", n=6), 4, cycle_automorphisms(6)),
+    "P1q3": (generate("path", n=1), 3, _path_group(1)),
+    "P4q3": (generate("path", n=4), 3, _path_group(4)),
+    "P5q4": (generate("path", n=5), 4, _path_group(5)),
+    "P3q1": (generate("path", n=3), 1, _path_group(3)),
+    "K3q5": (generate("complete", n=3), 5, [np.array(p) for p in itertools.permutations(range(3))]),
+    "C5q3-identity": (generate("cycle", n=5), 3, []),
+    "P4q4-identity": (generate("path", n=4), 4, [np.arange(4)]),
+}
+
+
 class TestSymmetryReduction:
+    @pytest.mark.parametrize("case", SYMMETRY_CASES.values(), ids=SYMMETRY_CASES.keys())
+    def test_matches_per_state_loop(self, case):
+        g, q, group = case
+        space = StateSpace(g, q)
+        reps = symmetry_reduced_starts(space, group)
+        assert reps.dtype == np.int64
+        assert np.array_equal(reps, reference_symmetry_reduced_starts(space, group))
+
+    def test_orbit_counts_on_five_colored_cycles(self):
+        counts = [len(symmetry_reduced_starts(StateSpace(generate("cycle", n=n), 5), cycle_automorphisms(n)))
+                  for n in (5, 6)]
+        assert counts == [12, 36]
+
     @pytest.mark.parametrize("n,q", [(4, 3), (5, 3)])
     def test_reduced_starts_reproduce_full_max(self, n, q):
         g = generate("cycle", n=n)

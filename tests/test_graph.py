@@ -12,7 +12,6 @@ from localglauber import (
     ResourceLimitError,
     ValidationError,
     generate,
-    neighbors_inclusive,
     parse_edge_list,
 )
 from localglauber import graph as graph_module
@@ -37,7 +36,7 @@ def test_complete_structure():
 def test_path_star_grid():
     assert generate("path", n=3).edges() == [(0, 1), (1, 2)]
     star = generate("star", n=5)
-    assert star.degree(0) == 4 and star.max_degree == 4
+    assert len(star.adjacency[0]) == 4 and star.max_degree == 4
     grid = generate("grid2d", rows=3, cols=4)
     assert grid.node_count == 12
     assert grid.edge_count == 3 * 3 + 2 * 4  # rows*(cols-1) + (rows-1)*cols
@@ -112,7 +111,7 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_gap_ids_become_isolated_nodes():
     g = parse_edge_list("0 5")
     assert g.node_count == 6
-    assert g.degree(3) == 0
+    assert len(g.adjacency[3]) == 0
 
 
 def test_parse_remap_sparse_ids():
@@ -120,17 +119,6 @@ def test_parse_remap_sparse_ids():
     assert g.node_count == 3
     assert mapping == {10: 0, 20: 1, 30: 2}
     assert g.edges() == [(0, 1), (1, 2)]
-
-
-def test_neighbors_inclusive():
-    path = generate("path", n=3)
-    assert neighbors_inclusive(path, 1) == {0, 1, 2}
-    isolated = Graph(1, [])
-    assert neighbors_inclusive(isolated, 0) == {0}
-    k3 = generate("complete", n=3)
-    assert neighbors_inclusive(k3, 2) == {0, 1, 2}
-    with pytest.raises(IndexError):
-        neighbors_inclusive(path, 3)
 
 
 def test_graph_rejects_bad_edges():
