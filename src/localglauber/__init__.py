@@ -11,7 +11,7 @@ from .coupling import (
 )
 from .dynamics import (
     DEFAULT_SEED, ChainConfig, RoundRandomness, RoundStats, apply_proposals, draw_round_randomness,
-    greedy_coloring, is_proper, local_glauber_step, random_coloring, run_chain, run_chain_trace,
+    greedy_coloring, is_proper, random_coloring, run_chain, run_chain_trace,
     sequential_glauber_step, zeros_coloring,
 )
 from .errors import InfeasibleError, ParameterError, ParseError, ResourceLimitError, ValidationError
@@ -35,7 +35,7 @@ __all__ = [
     "contraction_experiment", "coupled_step", "hamming_distance", "sample_adjacent_pair",
     # dynamics
     "DEFAULT_SEED", "ChainConfig", "RoundRandomness", "RoundStats", "apply_proposals",
-    "draw_round_randomness", "greedy_coloring", "is_proper", "local_glauber_step", "random_coloring",
+    "draw_round_randomness", "greedy_coloring", "is_proper", "random_coloring",
     "run_chain", "run_chain_trace", "sequential_glauber_step", "zeros_coloring",
     # errors
     "InfeasibleError", "ParameterError", "ParseError", "ResourceLimitError", "ValidationError",

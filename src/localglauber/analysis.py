@@ -143,6 +143,8 @@ class ContractionReport:
 
 def combined_bound(max_degree: int, q: int, gamma: float) -> ContractionReport:
     """Both bounds, their sum, and the degree-free margin they are compared with."""
+    if max_degree < 1:
+        raise ParameterError(f"combined_bound needs max_degree >= 1 (alpha = q/D), got {max_degree}")
     pb = path_bound(max_degree, q, gamma)
     vb = v0_bound(max_degree, q, gamma)
     alpha = q / max_degree

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -146,6 +147,17 @@ def _coerce(value: str):
     return value
 
 
+def _number(raw, what: str) -> float:
+    """float(raw) for a numeric option; anything else is a usage error."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} must be finite, got {raw!r}")
+    return value
+
+
 def _build_graph(args) -> Graph:
     if args.graph and args.gen:
         raise ParameterError("--graph and --gen are mutually exclusive")
@@ -175,7 +187,7 @@ def _resolve_q(args, g: Graph) -> int:
     if args.alpha is not None:
         if g.max_degree == 0:
             raise ParameterError("--alpha needs a graph with at least one edge")
-        q = float(args.alpha) * g.max_degree
+        q = _number(args.alpha, "alpha") * g.max_degree
         if abs(q - round(q)) > 1e-6:
             raise ParameterError(f"alpha * max_degree = {q} is not an integer")
         return int(round(q))
@@ -190,7 +202,7 @@ def _resolve_gamma(args, g: Graph, q: int):
             raise ParameterError("gamma=auto needs a graph with at least one edge")
         opt = analysis.require_contractive_gamma(q / g.max_degree)
         return opt.gamma, opt
-    return float(raw), None
+    return _number(raw, "gamma"), None
 
 
 def _contraction_margin(g: Graph, q: int, gamma: float):
@@ -252,7 +264,7 @@ def _emit_csv(header, rows, path) -> None:
 def _parse_eps_list(raw, default):
     if raw is None:
         return list(default)
-    values = [float(tok) for tok in str(raw).split(",") if tok.strip()]
+    values = [_number(tok, "eps") for tok in str(raw).split(",") if tok.strip()]
     if not values or any(not 0.0 < e for e in values):
         raise ParameterError(f"bad eps list {raw!r}")
     return values
@@ -266,7 +278,7 @@ def cmd_sample(args) -> int:
     gamma, opt = _resolve_gamma(args, g, q)
     seed = _seed(args)
     cfg = dynamics.ChainConfig(q=q, gamma=gamma, seed=seed)
-    eps = float(args.eps) if args.eps is not None else 0.25
+    eps = _number(args.eps, "eps") if args.eps is not None else 0.25
 
     if args.rounds is not None:
         rounds = int(args.rounds)
@@ -409,16 +421,17 @@ def cmd_couple(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    alphas = [float(tok) for tok in str(args.alphas or "2,2.1,2.5,3,4").split(",") if tok.strip()]
+    alphas = [_number(tok, "alpha") for tok in str(args.alphas or "2,2.1,2.5,3,4").split(",") if tok.strip()]
     ref_degree = args.delta_max if args.delta_max is not None else 2
     mix_n = args.mix_n if args.mix_n is not None else 100
-    eps = float(args.eps) if args.eps is not None else 0.01
+    eps = _number(args.eps, "eps") if args.eps is not None else 0.01
 
     rows = []
     table = []
     for alpha in alphas:
         if args.gamma is not None and str(args.gamma) != "auto":
-            gamma, delta = float(args.gamma), analysis.delta_wrapup(alpha, float(args.gamma))
+            gamma = _number(args.gamma, "gamma")
+            delta = analysis.delta_wrapup(alpha, gamma)
             feasible = delta > 0.0
         else:
             opt = analysis.optimize_gamma(alpha)

@@ -28,6 +28,9 @@ from .graph import Graph
 # Documented fixed default; never derived from the clock.
 DEFAULT_SEED = 12345
 
+# Directed edges that is_proper compares at once.
+_PROPER_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -98,30 +101,19 @@ def apply_proposals(
     demonstrate that dropping it breaks detailed balance. Production code
     must leave it True.
     """
-    eff = np.where(marked, proposal, x)
-    src, dst = g.edge_src, g.edge_dst
-    ok = (proposal[src] != x[dst]) & (proposal[src] != eff[dst])
+    # Only a marked node can accept, so only the edges s -> d with s marked
+    # are read. On those, e_d is proposal[d] when d is marked and x[d] if not.
+    sel = np.flatnonzero(marked[g.edge_src])
+    src, dst = g.edge_src[sel], g.edge_dst[sel]
+    ps, pd = proposal[src], proposal[dst]
+    clash = ps == pd
     if enforce_reversibility_condition:
-        ok &= ~(marked[dst] & (proposal[dst] == x[src]))
-    blocked = np.zeros(g.node_count, dtype=bool)
-    blocked[src[~ok]] = True
-    accepted = marked & ~blocked
+        clash |= pd == x[src]
+    clash &= marked[dst]
+    clash |= ps == x[dst]
+    accepted = marked.copy()
+    accepted[src[clash]] = False
     return np.where(accepted, proposal, x), accepted
-
-
-def local_glauber_step(
-    g: Graph,
-    x: np.ndarray,
-    rr: RoundRandomness,
-    *,
-    enforce_reversibility_condition: bool = True,
-) -> np.ndarray:
-    """One synchronous round; returns the next coloring."""
-    new_x, _ = apply_proposals(
-        g, x, rr.marked, rr.proposal,
-        enforce_reversibility_condition=enforce_reversibility_condition,
-    )
-    return new_x
 
 
 @dataclass(frozen=True)
@@ -181,10 +173,16 @@ def sequential_glauber_step(g: Graph, q: int, x: np.ndarray, rng: np.random.Gene
 
 
 def is_proper(g: Graph, x: np.ndarray) -> bool:
-    """True iff no edge is monochromatic."""
-    if g.edge_src.size == 0:
-        return True
-    return bool(np.all(x[g.edge_src] != x[g.edge_dst]))
+    """True iff no edge is monochromatic.
+
+    The edge arrays are compared a block at a time, so the temporaries stay
+    small and an improper coloring is rejected at its first bad block.
+    """
+    src, dst = g.edge_src, g.edge_dst
+    for lo in range(0, src.size, _PROPER_BLOCK):
+        if (x[src[lo:lo + _PROPER_BLOCK]] == x[dst[lo:lo + _PROPER_BLOCK]]).any():
+            return False
+    return True
 
 
 def validate_coloring(g: Graph, q: int, x: np.ndarray) -> None:

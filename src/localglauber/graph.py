@@ -140,7 +140,10 @@ def generate(family: str, seed: int = 0, **params) -> Graph:
         _check_cap(n * (n - 1) // 2, "node pairs")
         u, v = np.triu_indices(n, 1)
     else:
-        p = float(params.get("p", -1.0))
+        try:
+            p = float(params.get("p", -1.0))
+        except (TypeError, ValueError):
+            raise ParameterError(f"erdos_renyi needs a number p, got {params['p']!r}") from None
         if not 0.0 <= p <= 1.0:
             raise ParameterError(f"erdos_renyi needs p in [0,1], got {p}")
         _check_cap(n * (n - 1) // 2, "node pairs")

@@ -50,13 +50,14 @@ def reference_round(g, x, marked, proposal, order=None, enforce=True):
     Iterates nodes in an arbitrary `order` (the result must not depend on
     it), reading only round-start state: node v with proposal c accepts iff
     every neighbor u satisfies c != x[u], c != eff[u], and, when enforce is
-    set, marked u does not propose x[v].
+    set, marked u does not propose x[v]. Returns (new_colors, accepted_mask).
     """
     n = g.node_count
     if order is None:
         order = range(n)
     eff = [proposal[v] if marked[v] else x[v] for v in range(n)]
     out = list(x)
+    accepted = [False] * n
     for v in order:
         if not marked[v]:
             continue
@@ -71,7 +72,8 @@ def reference_round(g, x, marked, proposal, order=None, enforce=True):
                 break
         if ok:
             out[v] = c
-    return np.asarray(out, dtype=np.int64)
+            accepted[v] = True
+    return np.asarray(out, dtype=np.int64), np.asarray(accepted, dtype=bool)
 
 
 def random_graph_and_coloring(rng, n_max=12, q_max=7, proper=False):

@@ -85,7 +85,8 @@ def test_criterion_2_absorption(small_matrices):
     assert lg.is_proper(g, x)
     rounds = 100_000
     for t in range(rounds):
-        x = lg.local_glauber_step(g, x, lg.draw_round_randomness(cfg, g.node_count, t))
+        rr = lg.draw_round_randomness(cfg, g.node_count, t)
+        x = lg.apply_proposals(g, x, rr.marked, rr.proposal)[0]
         assert lg.is_proper(g, x), f"improper successor at round {t}"
     report(
         2, True,

@@ -133,6 +133,11 @@ class TestCombinedBound:
         assert report.combined == pytest.approx(report.v0_bound + report.path_bound, abs=1e-15)
         assert report.alpha == pytest.approx(3.0)
 
+    def test_edgeless_degree_rejected(self):
+        # alpha = q / D is undefined at D = 0; this used to raise ZeroDivisionError.
+        with pytest.raises(ParameterError):
+            combined_bound(0, 5, 0.1)
+
 
 class TestMixingBound:
     def test_worked_small_case(self):

@@ -282,6 +282,20 @@ class TestConfigAndDeterminism:
         assert captured.out == ""
         assert "q must be an integer, got 2.5" in captured.err
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("gamma", ("--q", "5", "--gamma", "abc", "--rounds", "1")),
+        ("eps", ("--q", "5", "--gamma", "0.3", "--eps", "abc")),
+        ("alpha", ("--config", "run.cfg", "--gamma", "0.3", "--rounds", "1")),
+        ("alpha", ("--alpha", "nan", "--gamma", "0.3", "--rounds", "1")),
+    ], ids=["gamma", "eps", "config-alpha", "alpha-nan"])
+    def test_non_numeric_value_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, argv):
+        # These ended in a ValueError traceback.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text('alpha = "abc"\n')
+        assert run("sample", "--gen", "cycle", "--gen-args", "n=5", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 12\n")
@@ -303,3 +317,70 @@ class TestConfigAndDeterminism:
             assert run(*argv, "--out", str(a)) in (0,)
             assert run(*argv, "--out", str(b)) in (0,)
             assert read(a) == read(b)
+
+
+GRID = ("--gen", "grid2d", "--gen-args", "rows=20,cols=20", "--alpha", "3", "--gamma", "auto", "--seed", "1")
+ER = ("--gen", "erdos_renyi", "--gen-args", "n=200,p=0.03", "--q", "16", "--gamma", "0.5", "--seed", "202")
+C5 = ("--gen", "cycle", "--gen-args", "n=5", "--q", "5", "--gamma", "auto")
+
+# sha256 of the primary output and of the side file (--trace or --tv-out),
+# recorded before apply_proposals resolved only the marked nodes' edges.
+GOLDEN_RUNS = {
+    "sample-grid-zeros": (("sample", *GRID, "--init", "zeros"), "--trace",
+        "a2010f45a342d556b9c8ef71f2980a1b15f9f0d306d6ea4f9565d19962609c16",
+        "145c6ca92b6ae162ed617179d0c2ce75e50ffc0ea063cf6f54c784d2461e9cdb"),
+    "sample-grid-greedy": (("sample", *GRID, "--init", "greedy"), "--trace",
+        "d917bd26ce847524daa7faf1b2867744c2f9124e24c4571d9ad9f64db2574024",
+        "5b0b5849ed63b01f8140919f4d650cc46039c87feb1cc3b928ef5b06ad50987e"),
+    "sample-grid-random": (("sample", *GRID, "--init", "random"), "--trace",
+        "abb545abc1a82f0d9e18eb0bddfe14260d29c97c74bb88a96a7aa068595ced87",
+        "8feb4ce4a7db973c843f1f588daef2e83b4d869e4b603e4fafe891f37a4f4fa2"),
+    "sample-er-zeros": (("sample", *ER, "--rounds", "300", "--init", "zeros"), "--trace",
+        "639439841d59249882cd7c8c3175bc6b4060dc2172f6fffb5b7a1a9b4c22ed3a",
+        "b3c8c9e41323f66fd865783d385332fdd49ecf4452ced4779fa2a3ce2a61d609"),
+    "sample-er-greedy": (("sample", *ER, "--rounds", "300", "--init", "greedy"), "--trace",
+        "6409fa5cb701cb3388094b8829b4e0e51b8c708eddb675a0586156edc3850071",
+        "3d07257cb2d4e16846a3cfea95acc2b4ce0587c47213c19d251ba3a919acf473"),
+    "sample-er-random": (("sample", *ER, "--rounds", "300", "--init", "random"), "--trace",
+        "2c003c8db41da41f29aa7a27f861898107fad5534f397383fc4c7d8a834a98a9",
+        "83762759079100f0f099dfa8f29bbff459d0af522942eb8938c18c33bf96d407"),
+    "sample-c5-zeros": (("sample", *C5, "--init", "zeros"), "--trace",
+        "d746f8faf4d04457b31719920a683416bb5e7aced6da5059bcd0a95942501add",
+        "3d0d79a41deafa15f9c588ebf5a46769ecda2100890c5df78af7d3a25cdf497c"),
+    "sample-c5-greedy": (("sample", *C5, "--init", "greedy"), "--trace",
+        "56934affccb22a658785633edba0d4819f15e01a92f26dbebcbc8675b2ea53db",
+        "c63fc639f61e52050e71fe9ac996bc151a278236bfad0bb198d1ab41e0aee5bb"),
+    "sample-c5-random": (("sample", *C5, "--init", "random"), "--trace",
+        "c9a336faa1f6448fd3ad88076de26494790318457ced6b069cd64a57655bec6e",
+        "b62dbfc28cdcd6378d70529d825867f47d2d985d1d49c1aad45f825cdc9ab7db"),
+    "couple-grid": (("couple", *GRID, "--trials", "300"), None,
+        "6627c563fe0eb9501a72c34c610eeaa381ff8877ca79c95bc04e9f8dfa22ba15", None),
+    "couple-er": (("couple", *ER, "--trials", "300"), None,
+        "e1a1169106e0cd15ac6469d2a3eac336e57c5b8bfc1b7b3769181ce972b6de11", None),
+    "couple-c5-proper": (("couple", *C5, "--trials", "300", "--pair-sampler", "proper_random"), None,
+        "379f08fe8606aac477249432deaf8a781ef276b234fcb47f55399b1101abf8de", None),
+    # q = 5 on C5 propagates all 3,125 starts for 70 rounds (~50 s); q = 4 takes ~1 s.
+    "exact-c5": (("exact", "--gen", "cycle", "--gen-args", "n=5", "--q", "4", "--gamma", "0.3"), "--tv-out",
+        "de7c11fba888a76ffadf787cc2931b07abc2f0eecb5f6374dc2a77a643fe5380",
+        "a9be1beee227c121b4b1ae2800858946cc2a9f2ddfe9f9a760e39fc36a2f2a96"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_stdout_and_files_match_recorded_bytes(self, tmp_path, capsys, name):
+        argv, side_flag, out_digest, side_digest = GOLDEN_RUNS[name]
+        assert run(*argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        out, side = tmp_path / "out", tmp_path / "side"
+        extra = (side_flag, str(side)) if side_flag else ()
+        assert run(*argv, "--out", str(out), *extra) == 0
+        assert capsys.readouterr().out == ""
+        assert read(out) == stdout
+        assert _sha(stdout) == out_digest
+        if side_flag:
+            assert _sha(read(side)) == side_digest

@@ -10,6 +10,7 @@ from localglauber import (
     ProposalMode,
     RoundRandomness,
     ValidationError,
+    apply_proposals,
     assign_coupled_proposals,
     check_flip_path_lemmas,
     classify_nodes,
@@ -17,7 +18,6 @@ from localglauber import (
     coupled_step,
     generate,
     hamming_distance,
-    local_glauber_step,
     optimize_gamma,
     sample_adjacent_pair,
 )
@@ -177,7 +177,8 @@ class TestCoupledStep:
             pair = sample_adjacent_pair(g, q, rng)
             randomness = rr(rng.random(10) < 0.4, rng.integers(0, q, 10))
             step = coupled_step(g, pair, ChainConfig(q=q, gamma=0.4), randomness)
-            assert np.array_equal(step.x_next, local_glauber_step(g, pair.x, randomness))
+            x_next = apply_proposals(g, pair.x, randomness.marked, randomness.proposal)[0]
+            assert np.array_equal(step.x_next, x_next)
 
     def test_y_side_equals_dynamics_on_mirrored_draws(self):
         rng = np.random.default_rng(32)
@@ -187,8 +188,8 @@ class TestCoupledStep:
             pair = sample_adjacent_pair(g, q, rng)
             randomness = rr(rng.random(10) < 0.4, rng.integers(0, q, 10))
             step = coupled_step(g, pair, ChainConfig(q=q, gamma=0.4), randomness)
-            mirrored = RoundRandomness(marked=randomness.marked, proposal=step.proposals.cy)
-            assert np.array_equal(step.y_next, local_glauber_step(g, pair.y, mirrored))
+            mirrored = apply_proposals(g, pair.y, randomness.marked, step.proposals.cy)[0]
+            assert np.array_equal(step.y_next, mirrored)
 
     def test_marginal_proposals_uniform_per_chain(self):
         g = generate("cycle", n=8)

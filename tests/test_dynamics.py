@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -10,7 +10,6 @@ from localglauber import (
     ChainConfig,
     Graph,
     ParameterError,
-    RoundRandomness,
     ValidationError,
     apply_proposals,
     draw_round_randomness,
@@ -18,7 +17,7 @@ from localglauber import (
     generate,
     greedy_coloring,
     is_proper,
-    local_glauber_step,
+    optimize_gamma,
     run_chain,
     run_chain_trace,
     sequential_glauber_step,
@@ -26,15 +25,9 @@ from localglauber import (
 )
 
 from localglauber._stream import stream
+from localglauber.dynamics import _PROPER_BLOCK
 
 from helpers import random_graph_and_coloring, reference_round
-
-
-def rr(marked, proposal):
-    return RoundRandomness(
-        marked=np.asarray(marked, dtype=bool),
-        proposal=np.asarray(proposal, dtype=np.int64),
-    )
 
 
 class TestRoundRandomness:
@@ -98,19 +91,19 @@ class TestLocalGlauberStep:
     def test_no_marks_is_identity(self):
         g = generate("cycle", n=6)
         x = np.arange(6) % 3
-        out = local_glauber_step(g, x, rr([False] * 6, [0] * 6))
+        out = apply_proposals(g, x, np.array([False] * 6), np.array([0] * 6))[0]
         assert np.array_equal(out, x)
 
     def test_proposal_equal_to_neighbor_color_rejected(self):
         g = Graph(2, [(0, 1)])
         x = np.array([0, 1])
-        out = local_glauber_step(g, x, rr([False, True], [0, 0]))  # v=1 proposes X_0
+        out = apply_proposals(g, x, np.array([False, True]), np.array([0, 0]))[0]  # v=1 proposes X_0
         assert np.array_equal(out, x)
 
     def test_both_marked_same_fresh_proposal_both_reject(self):
         g = Graph(2, [(0, 1)])
         x = np.array([0, 1])
-        out = local_glauber_step(g, x, rr([True, True], [3, 3]))
+        out = apply_proposals(g, x, np.array([True, True]), np.array([3, 3]))[0]
         assert np.array_equal(out, x)
 
     def test_marked_node_proposing_neighbors_color_rejected(self):
@@ -118,29 +111,29 @@ class TestLocalGlauberStep:
         # unmarked v keeps its color.
         g = Graph(2, [(0, 1)])
         x = np.array([2, 5])
-        out = local_glauber_step(g, x, rr([True, False], [5, 0]))
+        out = apply_proposals(g, x, np.array([True, False]), np.array([5, 0]))[0]
         assert np.array_equal(out, x)
 
     def test_reversibility_condition_blocks_update(self):
         # v=0 proposes a fresh color but its marked neighbor proposes X_0.
         g = Graph(2, [(0, 1)])
         x = np.array([2, 5])
-        randomness = rr([True, True], [7, 2])
-        out = local_glauber_step(g, x, randomness)
+        marked, proposal = np.array([True, True]), np.array([7, 2])
+        out = apply_proposals(g, x, marked, proposal)[0]
         assert np.array_equal(out, x)  # both rejected: 1 by (i), 0 by (ii)
-        relaxed = local_glauber_step(g, x, randomness, enforce_reversibility_condition=False)
+        relaxed = apply_proposals(g, x, marked, proposal, enforce_reversibility_condition=False)[0]
         assert relaxed[0] == 7  # switch off: v=0 accepts
 
     def test_clean_simultaneous_updates_accepted(self):
         g = Graph(2, [(0, 1)])
         x = np.array([0, 0])
-        out = local_glauber_step(g, x, rr([True, True], [3, 4]))
+        out = apply_proposals(g, x, np.array([True, True]), np.array([3, 4]))[0]
         assert out.tolist() == [3, 4]
 
     def test_isolated_node_always_accepts(self):
         g = Graph(2, [])
         x = np.array([0, 0])
-        out = local_glauber_step(g, x, rr([True, False], [4, 2]))
+        out = apply_proposals(g, x, np.array([True, False]), np.array([4, 2]))[0]
         assert out.tolist() == [4, 0]
 
     def test_matches_reference_round_any_order(self):
@@ -149,10 +142,11 @@ class TestLocalGlauberStep:
             g, q, x = random_graph_and_coloring(rng)
             marked = rng.random(g.node_count) < rng.uniform(0.1, 0.9)
             proposal = rng.integers(0, q, g.node_count)
-            got, _ = apply_proposals(g, x, marked, proposal)
+            got_x, got_accepted = apply_proposals(g, x, marked, proposal)
             order = rng.permutation(g.node_count)
-            want = reference_round(g, x, marked, proposal, order=order)
-            assert np.array_equal(got, want)
+            want_x, want_accepted = reference_round(g, x, marked, proposal, order=order)
+            assert np.array_equal(got_x, want_x)
+            assert np.array_equal(got_accepted, want_accepted)
 
     def test_unmarked_node_stability(self):
         rng = np.random.default_rng(12)
@@ -172,6 +166,72 @@ class TestLocalGlauberStep:
             proposal = rng.integers(0, q, g.node_count)
             out, _ = apply_proposals(g, x, marked, proposal)
             assert is_proper(g, out)
+
+
+def _case(n, edges, x, marked, proposal):
+    return (Graph(n, edges), np.array(x, dtype=np.int64), np.array(marked, dtype=bool),
+            np.array(proposal, dtype=np.int64))
+
+
+@st.composite
+def round_cases(draw):
+    """A small graph, a coloring, and one round's marks and proposals."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    q = draw(st.integers(1, 5))
+    colors = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    marks = draw(st.sampled_from(["none", "all", "some"]))
+    if marks == "some":
+        marked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        marked = [marks == "all"] * n
+    return _case(n, edges, draw(colors), marked, draw(colors))
+
+
+def _reference_is_proper(g, x):
+    return all(x[u] != x[v] for u, v in g.edges())
+
+
+class TestKernelsAgainstReferences:
+    @settings(max_examples=400, deadline=None)
+    @given(case=round_cases(), enforce=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(case=_case(1, [], [0], [True], [1]), enforce=True, seed=0)
+    @example(case=_case(4, [], [0, 0, 1, 1], [True, False, True, True], [1, 1, 0, 2]), enforce=True, seed=0)
+    @example(case=_case(3, [(0, 1), (1, 2)], [0, 1, 0], [False] * 3, [1, 0, 1]), enforce=True, seed=0)
+    @example(case=_case(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 1, 0, 1], [True] * 4, [2, 2, 0, 1]),
+             enforce=True, seed=0)
+    @example(case=_case(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 1, 0, 1], [True] * 4, [2, 2, 0, 1]),
+             enforce=False, seed=0)
+    def test_apply_proposals_matches_reference_round(self, case, enforce, seed):
+        g, x, marked, proposal = case
+        order = np.random.default_rng(seed).permutation(g.node_count)
+        got_x, got_accepted = apply_proposals(g, x, marked, proposal, enforce_reversibility_condition=enforce)
+        want_x, want_accepted = reference_round(g, x, marked, proposal, order=order, enforce=enforce)
+        assert np.array_equal(got_x, want_x)
+        assert np.array_equal(got_accepted, want_accepted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=round_cases())
+    def test_is_proper_matches_edge_loop(self, case):
+        g, x, _, _ = case
+        assert is_proper(g, x) is _reference_is_proper(g, x)
+
+    @pytest.mark.parametrize("edge", [None, 0, _PROPER_BLOCK - 1, _PROPER_BLOCK, -1],
+                             ids=["none", "first", "block_end", "block_start", "last"])
+    def test_is_proper_single_conflict_across_blocks(self, edge):
+        # A path with more than two blocks of directed edges, alternating
+        # colors, with the parity flipped after the chosen edge's lower end
+        # so that this one edge (in both orientations) is monochromatic.
+        g = generate("path", n=_PROPER_BLOCK + 10)
+        assert g.edge_src.size > 2 * _PROPER_BLOCK
+        x = np.arange(g.node_count, dtype=np.int64) % 2
+        if edge is not None:
+            u, v = sorted((int(g.edge_src[edge]), int(g.edge_dst[edge])))
+            x[v:] ^= 1
+            assert x[u] == x[v]
+        assert is_proper(g, x) is (edge is None)
+        assert _reference_is_proper(g, x) is (edge is None)
 
 
 class TestRunChain:
@@ -248,10 +308,21 @@ class TestRunChain:
             (greedy_coloring(g, cfg.q), "431f8f92c96d0196687e1390b99efb85b240e62249965832624924c238a141f4"),
             (zeros_coloring(g), "eed90bcccb7e8b48d3706ea2ed4f6c76b61a5c052b73b1724dbe8a7d94b70e52"),
         ):
-            x, trace = run_chain_trace(g, cfg, x0, 300)
-            rows = np.array([(s.round_index, s.marked, s.accepted, s.conflicts, s.proper) for s in trace],
-                            dtype="<i8")
-            assert hashlib.sha256(x.astype("<i8").tobytes() + rows.tobytes()).hexdigest() == digest
+            assert _trace_digest(*run_chain_trace(g, cfg, x0, 300)) == digest
+
+    def test_golden_digest_sparse_marking(self):
+        # Recorded before apply_proposals resolved only the marked nodes' edges:
+        # a 20x20 grid at gamma*(3) (about 12% of nodes marked per round), q 12,
+        # seed 1, 200 rounds from all zeros; rounds 0-29 end improper.
+        g = generate("grid2d", rows=20, cols=20)
+        cfg = ChainConfig(q=12, gamma=optimize_gamma(3.0).gamma, seed=1)
+        assert _trace_digest(*run_chain_trace(g, cfg, zeros_coloring(g), 200)) == (
+            "90677d06c64eb31042fa4417dcd9dbbcacbd7dbac8cc6413e4a4a93893327d92")
+
+
+def _trace_digest(x, trace):
+    rows = np.array([(s.round_index, s.marked, s.accepted, s.conflicts, s.proper) for s in trace], dtype="<i8")
+    return hashlib.sha256(x.astype("<i8").tobytes() + rows.tobytes()).hexdigest()
 
 
 class TestSequentialGlauber:

@@ -21,7 +21,6 @@ from localglauber import (
     exact_mixing_time,
     generate,
     improper_mass_curve,
-    local_glauber_step,
     stationary_uniform,
     symmetry_reduced_starts,
     tv_curve,
@@ -168,7 +167,7 @@ class TestMonteCarloAgainstExact:
         counts = np.zeros(space.size)
         for t in range(trials):
             rr = draw_round_randomness(cfg, g.node_count, t)
-            counts[space.index_of(local_glauber_step(g, x0, rr))] += 1
+            counts[space.index_of(apply_proposals(g, x0, rr.marked, rr.proposal)[0])] += 1
         freq = counts / trials
         row = P[start]
         assert np.all(counts[row == 0.0] == 0)

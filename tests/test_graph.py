@@ -76,6 +76,8 @@ def test_generator_parameter_errors():
         generate("moebius", n=5)
     with pytest.raises(ParameterError):
         generate("grid2d", rows=0, cols=3)
+    with pytest.raises(ParameterError):
+        generate("erdos_renyi", n=5, p="x")
 
 
 def test_parse_basic_path():
