@@ -23,14 +23,14 @@ pair = lg.AdjacentPair.make(x, y, v0=0)
 print(f"pair differs at v0=0: red={pair.r}, blue={pair.b}")
 
 B, K = lg.classify_nodes(g, pair)
-print(f"B (red/blue nodes)  : {sorted(B)}")
-print(f"K (their closed nbhd): {sorted(K)}")
+print(f"B (red/blue nodes)  : {np.flatnonzero(B).tolist()}")
+print(f"K (their closed nbhd): {np.flatnonzero(K).tolist()}")
 
 marked = np.array([False, True, True, False, False, True])
 draws = np.array([0, 1, 0, 0, 0, 4])
 proposals, layers = lg.assign_coupled_proposals(g, pair, marked, draws)
-print(f"layers M: {[sorted(m) for m in layers.M]}")
-print(f"flipped F: {[sorted(f) for f in layers.F]}")
+print(f"layers M: {[m.tolist() for m in layers.M]}")
+print(f"flipped F: {[f.tolist() for f in layers.F]}")
 for v in range(6):
     mode = lg.ProposalMode(int(proposals.mode[v])).name.lower()
     print(f"  node {v}: mode={mode:10s} cx={proposals.cx[v]} cy={proposals.cy[v]}")

@@ -1,23 +1,24 @@
-"""Local Glauber dynamics: simulator, exact verifier, coupling toolkit, bounds."""
+"""Local Glauber dynamics: simulator, exact verifier, coupling toolkit, bounds.
 
-from .analysis import (
-    ContractionReport, GammaOptimum, combined_bound, delta_wrapup, mixing_bound, optimize_gamma,
-    path_bound, v0_bound,
-)
+The dataclasses that functions only return (ContractionEstimate,
+CouplingLayers, RoundStats, TVCurve, ...) are not exported here; they stay
+importable from the modules that define them.
+"""
+
+from .analysis import combined_bound, delta_wrapup, mixing_bound, optimize_gamma, path_bound, v0_bound
 from .coupling import (
-    AdjacentPair, ContractionEstimate, CoupledStep, CouplingLayers, ProposalMode, ProposalPair,
-    assign_coupled_proposals, check_flip_path_lemmas, classify_nodes, contraction_experiment,
-    coupled_step, hamming_distance, sample_adjacent_pair,
+    AdjacentPair, ProposalMode, assign_coupled_proposals, check_flip_path_lemmas, classify_nodes,
+    contraction_experiment, coupled_step, hamming_distance, sample_adjacent_pair,
 )
 from .dynamics import (
-    DEFAULT_SEED, ChainConfig, RoundRandomness, RoundStats, apply_proposals, draw_round_randomness,
+    DEFAULT_SEED, ChainConfig, RoundRandomness, apply_proposals, draw_round_randomness,
     greedy_coloring, is_proper, random_coloring, run_chain, run_chain_trace,
     sequential_glauber_step, zeros_coloring,
 )
 from .errors import InfeasibleError, ParameterError, ParseError, ResourceLimitError, ValidationError
 from .exact import (
-    CheckReport, MixingResult, StateSpace, TVCurve, build_transition_matrix, check_absorption,
-    check_detailed_balance, check_irreducibility, check_row_stochastic, check_uniform_stationary,
+    StateSpace, build_transition_matrix, check_absorption, check_detailed_balance,
+    check_irreducibility, check_row_stochastic, check_uniform_stationary,
     enumerate_proper_colorings, exact_mixing_time, improper_mass_curve, stationary_uniform,
     symmetry_reduced_starts, tv_curve, tv_distance,
 )
@@ -27,23 +28,22 @@ __version__ = "0.1.0"
 
 __all__ = [
     # analysis
-    "ContractionReport", "GammaOptimum", "combined_bound", "delta_wrapup", "mixing_bound",
-    "optimize_gamma", "path_bound", "v0_bound",
+    "combined_bound", "delta_wrapup", "mixing_bound", "optimize_gamma", "path_bound", "v0_bound",
     # coupling
-    "AdjacentPair", "ContractionEstimate", "CoupledStep", "CouplingLayers", "ProposalMode",
-    "ProposalPair", "assign_coupled_proposals", "check_flip_path_lemmas", "classify_nodes",
-    "contraction_experiment", "coupled_step", "hamming_distance", "sample_adjacent_pair",
+    "AdjacentPair", "ProposalMode", "assign_coupled_proposals", "check_flip_path_lemmas",
+    "classify_nodes", "contraction_experiment", "coupled_step", "hamming_distance",
+    "sample_adjacent_pair",
     # dynamics
-    "DEFAULT_SEED", "ChainConfig", "RoundRandomness", "RoundStats", "apply_proposals",
+    "DEFAULT_SEED", "ChainConfig", "RoundRandomness", "apply_proposals",
     "draw_round_randomness", "greedy_coloring", "is_proper", "random_coloring",
     "run_chain", "run_chain_trace", "sequential_glauber_step", "zeros_coloring",
     # errors
     "InfeasibleError", "ParameterError", "ParseError", "ResourceLimitError", "ValidationError",
     # exact
-    "CheckReport", "MixingResult", "StateSpace", "TVCurve", "build_transition_matrix",
-    "check_absorption", "check_detailed_balance", "check_irreducibility", "check_row_stochastic",
-    "check_uniform_stationary", "enumerate_proper_colorings", "exact_mixing_time",
-    "improper_mass_curve", "stationary_uniform", "symmetry_reduced_starts", "tv_curve", "tv_distance",
+    "StateSpace", "build_transition_matrix", "check_absorption", "check_detailed_balance",
+    "check_irreducibility", "check_row_stochastic", "check_uniform_stationary",
+    "enumerate_proper_colorings", "exact_mixing_time", "improper_mass_curve", "stationary_uniform",
+    "symmetry_reduced_starts", "tv_curve", "tv_distance",
     # graph
     "Graph", "cycle_automorphisms", "generate", "parse_edge_list",
 ]

@@ -45,7 +45,7 @@ EXIT_CHECK_FAILED = 4
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        merged = _merge_config(args)
+        merged = _merge_config(args, commands[args.command])
         return args.func(merged)
     except (ParameterError, ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -68,7 +68,8 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="localglauber", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
@@ -116,12 +117,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-out", help="optional gamma* table CSV path")
     p.set_defaults(func=cmd_analyze)
 
-    return parser
+    return parser, sub.choices
 
 
-def _merge_config(args) -> argparse.Namespace:
-    """Overlay config-file values under explicitly passed flags."""
+def _merge_config(args, parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Overlay config-file values under explicitly passed flags.
+
+    Each value is converted and checked as its flag in `parser` would be,
+    so a value the flag would refuse is a usage error here too.
+    """
     if getattr(args, "config", None):
+        actions = {action.dest: action for action in parser._actions}
         with open(args.config, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -134,8 +140,20 @@ def _merge_config(args) -> argparse.Namespace:
                 if not hasattr(args, attr):
                     raise ParameterError(f"{args.config}:{lineno}: unknown key {key!r}")
                 if getattr(args, attr) is None:
-                    setattr(args, attr, _coerce(value))
+                    setattr(args, attr, _convert(actions[attr], key, value))
     return args
+
+
+def _convert(action: argparse.Action, key: str, value: str):
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except ValueError:
+            kind = "an integer" if action.type is int else "a number"
+            raise ParameterError(f"{key} must be {kind}, got {value}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"{key} must be one of {', '.join(action.choices)}, got {value}")
+    return value
 
 
 def _coerce(value: str):
@@ -181,8 +199,6 @@ def _resolve_q(args, g: Graph) -> int:
     if args.q is not None and args.alpha is not None:
         raise ParameterError("--q and --alpha are mutually exclusive")
     if args.q is not None:
-        if not isinstance(args.q, int):
-            raise ParameterError(f"q must be an integer, got {args.q!r}")
         return args.q
     if args.alpha is not None:
         if g.max_degree == 0:

@@ -31,7 +31,7 @@ from .dynamics import (
     ChainConfig, RoundRandomness, _marks_then_proposals, apply_proposals, greedy_coloring, run_chain,
 )
 from .errors import ParameterError, ValidationError
-from .graph import Graph
+from .graph import Graph, _neighbors
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class AdjacentPair:
     """Colorings x and y that agree everywhere except node v0.
 
     r = x[v0] and b = y[v0] are the "red" and "blue" colors of the
-    construction; they must differ.
+    construction; they must differ. The pair is checked once, on
+    construction.
     """
 
     x: np.ndarray
@@ -50,17 +51,15 @@ class AdjacentPair:
 
     @classmethod
     def make(cls, x: np.ndarray, y: np.ndarray, v0: int) -> "AdjacentPair":
-        pair = cls(
+        return cls(
             x=np.asarray(x, dtype=np.int64),
             y=np.asarray(y, dtype=np.int64),
             v0=int(v0),
             r=int(x[v0]),
             b=int(y[v0]),
         )
-        pair.validate()
-        return pair
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.x.shape != self.y.shape:
             raise ValidationError("x and y have different lengths")
         diff = np.flatnonzero(self.x != self.y)
@@ -86,44 +85,42 @@ class ProposalPair:
     cy: np.ndarray
     mode: np.ndarray
 
-    def flipped_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.cx != self.cy)
-
 
 @dataclass(frozen=True)
 class CouplingLayers:
-    """Derived node sets of one coupled round.
+    """Derived node masks of one coupled round.
 
     B: nodes other than v0 currently colored r or b.
     K: inclusive neighborhood of B, minus v0 (B is a subset of K).
     S: marked nodes outside K, v0 excluded.
-    M[d]/F[d]: breadth-first layers and their flipped subsets; M[0] = F[0] = {v0}
-    by definition, whether or not v0 is marked.
+    depth: breadth-first layer of each node, -1 when not layered; v0 alone
+        has depth 0, whether or not it is marked.
+    flipped: layered nodes whose proposals came out flipped, plus v0.
+    M[d]/F[d] are the node indices of layer d and of its flipped subset.
     """
 
-    B: frozenset
-    K: frozenset
-    S: frozenset
-    M: tuple
-    F: tuple
+    B: np.ndarray
+    K: np.ndarray
+    S: np.ndarray
+    depth: np.ndarray
+    flipped: np.ndarray
 
-    def layer_of(self, v: int) -> int | None:
-        for d, layer in enumerate(self.M):
-            if v in layer:
-                return d
-        return None
+    @property
+    def M(self) -> tuple:
+        return tuple(np.flatnonzero(self.depth == d) for d in range(self.depth.max() + 1))
+
+    @property
+    def F(self) -> tuple:
+        return tuple(np.flatnonzero(self.flipped & (self.depth == d)) for d in range(self.depth.max() + 1))
 
 
 def classify_nodes(g: Graph, pair: AdjacentPair):
-    """The sets B (red/blue-colored nodes except v0) and K (their closed neighborhood minus v0)."""
-    pair.validate()
-    rb = {pair.r, pair.b}
-    B = {v for v in range(g.node_count) if v != pair.v0 and int(pair.x[v]) in rb}
-    K = set()
-    for v in B:
-        K.add(v)
-        K.update(g.adjacency[v])
-    K.discard(pair.v0)
+    """Masks B (red/blue-colored nodes except v0) and K (their closed neighborhood minus v0)."""
+    B = (pair.x == pair.r) | (pair.x == pair.b)
+    B[pair.v0] = False
+    K = B.copy()
+    K[g.edge_dst[B[g.edge_src]]] = True
+    K[pair.v0] = False
     return B, K
 
 
@@ -140,50 +137,42 @@ def assign_coupled_proposals(
     uniform. Layer d+1 collects the not-yet-layered marked nodes of S that
     neighbor a flipped node of layer d.
     """
-    pair.validate()
     n = g.node_count
     v0, r, b = pair.v0, pair.r, pair.b
     marked = np.asarray(marked, dtype=bool)
     draws = np.asarray(draws, dtype=np.int64)
 
     B, K = classify_nodes(g, pair)
-    S = {v for v in range(n) if marked[v] and v != v0 and v not in K}
+    S = marked & ~K
+    S[v0] = False
 
     # Defaults: unmarked nodes effectively propose their current colors
     # (which differ at v0 when v0 is unmarked); marked nodes sample
-    # consistently unless a layer reassigns them to mirrored mode.
+    # consistently unless a layer reassigns them to mirrored mode, where
+    # X keeps the draw and Y swaps a draw of r or b for the other.
     cx = np.where(marked, draws, pair.x)
     cy = np.where(marked, draws, pair.y)
     mode = np.where(marked, ProposalMode.CONSISTENT, ProposalMode.UNMARKED).astype(np.int8)
 
-    M: list[frozenset] = [frozenset({v0})]
-    F: list[frozenset] = [frozenset({v0})]
-    assigned = {v0}
-    while F[-1]:
-        frontier = set()
-        for w in F[-1]:
-            frontier.update(g.adjacency[w])
-        nxt = (frontier & S) - assigned
-        if not nxt:
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[v0] = 0
+    flipped = np.zeros(n, dtype=bool)
+    flipped[v0] = True
+    front = flipped.copy()
+    red_blue = (draws == r) | (draws == b)
+    for d in range(1, n):
+        reach = np.zeros(n, dtype=bool)
+        reach[g.edge_dst[front[g.edge_src]]] = True
+        layer = reach & S & (depth < 0)
+        if not layer.any():
             break
-        flipped = set()
-        for v in nxt:
-            mode[v] = ProposalMode.MIRRORED
-            c = int(draws[v])
-            if c == r:
-                cx[v], cy[v] = r, b
-                flipped.add(v)
-            elif c == b:
-                cx[v], cy[v] = b, r
-                flipped.add(v)
-            # draws outside {r, b} stay consistent: cx = cy = c already
-        assigned |= nxt
-        M.append(frozenset(nxt))
-        F.append(frozenset(flipped))
+        depth[layer] = d
+        mode[layer] = ProposalMode.MIRRORED
+        front = layer & red_blue
+        flipped |= front
+        cy[front] = np.where(draws[front] == r, b, r)
 
-    layers = CouplingLayers(
-        B=frozenset(B), K=frozenset(K), S=frozenset(S), M=tuple(M), F=tuple(F)
-    )
+    layers = CouplingLayers(B=B, K=K, S=S, depth=depth, flipped=flipped)
     return ProposalPair(cx=cx, cy=cy, mode=mode), layers
 
 
@@ -255,91 +244,58 @@ def check_flip_path_lemmas(
     so violations are reported rather than raised).
     """
     v0 = pair.v0
-    differing = [int(v) for v in np.flatnonzero(x_next != y_next) if v != v0]
+    differing = [v for v in np.flatnonzero(x_next != y_next).tolist() if v != v0]
     witnesses: dict[int, tuple] = {}
     violations: list[LemmaViolation] = []
+    # What a flip path's last hop is checked against: the predecessor's
+    # proposals, or v0's current colors when v0 is the predecessor.
+    side_x, side_y = proposals.cx.copy(), proposals.cy.copy()
+    side_x[v0], side_y[v0] = pair.r, pair.b
 
     for v in differing:
-        if v in layers.S:
-            path = _flip_path_witness(g, layers, proposals, pair, v)
-            if path is None:
-                violations.append(LemmaViolation(v, "differing S-node without a valid flip path"))
-            else:
-                witnesses[v] = path
-        elif v in layers.K:
-            cxv, cyv = int(proposals.cx[v]), int(proposals.cy[v])
-            if cxv != cyv:
-                violations.append(LemmaViolation(v, "differing K-node with flipped proposals"))
-                continue
-            if cxv not in (pair.r, pair.b):
-                violations.append(LemmaViolation(v, f"differing K-node proposed {cxv}, not r/b"))
-                continue
-            path = _almost_flip_path_witness(g, layers, v)
-            if path is None:
-                violations.append(LemmaViolation(v, "differing K-node without an almost flip path"))
-            else:
-                witnesses[v] = path
+        cxv, cyv = int(proposals.cx[v]), int(proposals.cy[v])
+        if layers.S[v]:
+            reason = "differing S-node without a valid flip path"
+            d, path = layers.depth[v], None
+            if layers.flipped[v] and d >= 1:
+                path = _walk_back(g, layers, v, lambda w: (
+                    (layers.depth[w] == d - 1) & (side_y[w] == cxv) & (side_x[w] == cyv)))
+        elif not layers.K[v]:
+            reason, path = "differing node outside S and K", None
+        elif cxv != cyv:
+            reason, path = "differing K-node with flipped proposals", None
+        elif cxv not in (pair.r, pair.b):
+            reason, path = f"differing K-node proposed {cxv}, not r/b", None
         else:
-            violations.append(LemmaViolation(v, "differing node outside S and K"))
+            reason = "differing K-node without an almost flip path"
+            path = _walk_back(g, layers, v, lambda w: True)
+        if path is None:
+            violations.append(LemmaViolation(v, reason))
+        else:
+            witnesses[v] = path
 
     return LemmaReport(differing_nodes=differing, witnesses=witnesses, violations=violations)
 
 
-def _flip_path_witness(g, layers, proposals, pair, v):
-    """Backward search for (v0, w1 in F[1], ..., v in F[l]) with the flipped last hop."""
-    d = layers.layer_of(v)
-    if d is None or d < 1 or v not in layers.F[d]:
-        return None
-    cxv, cyv = int(proposals.cx[v]), int(proposals.cy[v])
-    if d == 1:
-        # Predecessor is v0 itself; the lemma pins the proposal to the
-        # opposite of v0's current color in each chain.
-        if pair.v0 in g.adjacency[v] and cxv == pair.b and cyv == pair.r:
-            return (pair.v0, v)
-        return None
-    nbrs = set(g.adjacency[v])
-    candidates = {
-        w for w in layers.F[d - 1] & nbrs
-        if int(proposals.cy[w]) == cxv and int(proposals.cx[w]) == cyv
-    }
-    # Chain candidates back through F[d-2], ..., F[1]; interior hops only
-    # need layer membership and adjacency.
-    return _chain_back(g, layers, candidates, d - 1, (v,))
+def _walk_back(g, layers, v, first_hop):
+    """Path (v0, ..., v) through flipped nodes, or None where a hop is missing.
 
-
-def _almost_flip_path_witness(g, layers, v):
-    """Backward search for (v0, w1 in F[1], ..., w_{l-1} in F[l-1], v in K)."""
-    nbrs = set(g.adjacency[v])
-    for d in range(len(layers.F)):
-        candidates = layers.F[d] & nbrs
-        if not candidates:
-            continue
+    The first hop goes to a flipped neighbor of v that `first_hop` keeps
+    (a mask over neighbor ids), each later hop to a flipped neighbor one
+    layer shallower, until v0 at depth 0. Every hop takes the shallowest
+    candidate, lowest id first.
+    """
+    path = [v]
+    nbrs = _neighbors(g, v)
+    nbrs = nbrs[layers.flipped[nbrs] & first_hop(nbrs)]
+    while nbrs.size:
+        w = int(nbrs[np.argmin(layers.depth[nbrs])])
+        path.append(w)
+        d = layers.depth[w]
         if d == 0:
-            return (next(iter(layers.M[0])), v)
-        path = _chain_back(g, layers, candidates, d, (v,))
-        if path is not None:
-            return path
-    return None
-
-
-def _chain_back(g, layers, candidates, depth, suffix):
-    """Extend a partial path (candidates at F[depth]) back to v0; returns a full path or None."""
-    level = {w: (w,) + suffix for w in candidates}
-    for d in range(depth, 0, -1):
-        if not level:
-            return None
-        if d == 1:
-            v0 = next(iter(layers.M[0]))
-            for w, path in level.items():
-                if v0 in g.adjacency[w]:
-                    return (v0,) + path
-            return None
-        prev = {}
-        for w, path in level.items():
-            for u in g.adjacency[w]:
-                if u in layers.F[d - 1] and u not in prev:
-                    prev[u] = (u,) + path
-        level = prev
+            return tuple(reversed(path))
+        nbrs = _neighbors(g, w)
+        nbrs = nbrs[layers.flipped[nbrs] & (layers.depth[nbrs] == d - 1)]
     return None
 
 
@@ -352,15 +308,6 @@ class ContractionEstimate:
     stderr: float
     max_phi: int
     lemma_failures: int
-
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_phi": self.mean,
-            "stderr": self.stderr,
-            "max_phi": self.max_phi,
-            "lemma_failures": self.lemma_failures,
-        }
 
 
 PAIR_SAMPLERS = ("uniform_random", "proper_random")

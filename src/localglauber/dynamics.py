@@ -23,7 +23,7 @@ import numpy as np
 
 from ._stream import stream
 from .errors import ParameterError, ValidationError
-from .graph import Graph
+from .graph import Graph, _neighbor_lists, _neighbors
 
 # Documented fixed default; never derived from the clock.
 DEFAULT_SEED = 12345
@@ -163,7 +163,7 @@ def sequential_glauber_step(g: Graph, q: int, x: np.ndarray, rng: np.random.Gene
     the available set is never empty.
     """
     v = int(rng.integers(g.node_count))
-    taken = {int(x[u]) for u in g.adjacency[v]}
+    taken = set(np.asarray(x)[_neighbors(g, v)].tolist())
     avail = [c for c in range(q) if c not in taken]
     if not avail:
         raise ParameterError(f"node {v} has no available color (need q > max_degree)")
@@ -206,13 +206,13 @@ def random_coloring(g: Graph, q: int, rng: np.random.Generator) -> np.ndarray:
 
 def greedy_coloring(g: Graph, q: int) -> np.ndarray:
     """First-fit proper coloring; needs q >= max_degree + 1 in the worst case."""
-    x = np.full(g.node_count, -1, dtype=np.int64)
-    for v in range(g.node_count):
-        taken = {int(x[u]) for u in g.adjacency[v] if x[u] >= 0}
+    x = [-1] * g.node_count
+    for v, nbrs in enumerate(_neighbor_lists(g)):
+        taken = {x[u] for u in nbrs}
         for c in range(q):
             if c not in taken:
                 x[v] = c
                 break
         else:
             raise ParameterError(f"greedy coloring failed at node {v} with q={q}")
-    return x
+    return np.array(x, dtype=np.int64)

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .dynamics import ChainConfig
 from .errors import ParameterError, ResourceLimitError, ValidationError
-from .graph import Graph
+from .graph import Graph, _neighbor_lists
 
 DEFAULT_ENUMERATION_CAP_BITS = 24.0   # allow q^n states up to 2^24
 DEFAULT_MATRIX_ENTRY_CAP = 2 ** 24    # allow q^n * q^n matrix entries up to 2^24
@@ -99,6 +99,7 @@ def build_transition_matrix(
     q, gamma = cfg.q, cfg.gamma
     row_base = np.arange(Q, dtype=np.int64) * Q
     diag = row_base + np.arange(Q, dtype=np.int64)
+    nbrs = _neighbor_lists(g)
 
     # Reusable per-node tables: neq[v][c] = (state color at v) != c, and
     # color deltas scaled by the positional weight q^v.
@@ -120,7 +121,7 @@ def build_transition_matrix(
             for v, c_v in zip(marked, prop):
                 acc = None
                 rejected = False
-                for u in g.adjacency[v]:
+                for u in nbrs[v]:
                     # (i): proposal avoids u's current color and effective proposal
                     acc = neq[u][c_v] if acc is None else acc & neq[u][c_v]
                     if u in marked_set:

@@ -2,8 +2,8 @@
 
 Nodes are dense integers ``0..n-1`` so that colorings can live in flat
 numpy arrays. Graphs are immutable after construction and safe to share.
-Construction and the generators work on numpy edge arrays; the per-node
-``adjacency`` tuples are built only when something asks for them.
+Construction and the generators work on numpy edge arrays, and the sorted
+directed edge arrays are the only representation a graph keeps.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ class Graph:
         node_count: number of nodes n.
         edge_src, edge_dst: aligned int64 arrays listing every directed
             orientation of every edge, sorted by source, then destination
-            (so `edge_dst` is the CSR column array); used by the vectorized
-            dynamics.
+            (so `edge_dst` is the CSR column array, and the neighbors of v
+            are the slice of `edge_dst` where `edge_src` equals v).
         max_degree: largest degree (0 for edgeless graphs).
-        adjacency: tuple of sorted neighbor tuples, one per node, built on
-            first use.
     """
 
-    __slots__ = ("node_count", "max_degree", "edge_src", "edge_dst", "_adjacency")
+    __slots__ = ("node_count", "max_degree", "edge_src", "edge_dst")
 
     def __init__(self, node_count: int, edges) -> None:
         if node_count < 1:
@@ -75,15 +73,6 @@ class Graph:
         self.node_count = node_count
         self.edge_src, self.edge_dst = np.divmod(keys, n)
         self.max_degree = int(np.bincount(self.edge_src).max()) if keys.size else 0
-        self._adjacency = None
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        if self._adjacency is None:
-            ends = np.cumsum(np.bincount(self.edge_src, minlength=self.node_count)).tolist()
-            dst = self.edge_dst.tolist()
-            self._adjacency = tuple(tuple(dst[a:b]) for a, b in zip([0] + ends[:-1], ends))
-        return self._adjacency
 
     @property
     def edge_count(self) -> int:
@@ -96,6 +85,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count}, max_degree={self.max_degree})"
+
+
+def _neighbors(g: Graph, v: int) -> np.ndarray:
+    """The neighbors of v, as a slice of `g.edge_dst`."""
+    lo, hi = np.searchsorted(g.edge_src, (v, v + 1))
+    return g.edge_dst[lo:hi]
+
+
+def _neighbor_lists(g: Graph) -> list[list[int]]:
+    """Every node's neighbors as Python ints, for loops that visit them all."""
+    starts = np.searchsorted(g.edge_src, np.arange(g.node_count + 1)).tolist()
+    dst = g.edge_dst.tolist()
+    return [dst[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def _check_cap(count: int, what: str) -> None:
@@ -187,17 +189,13 @@ def _size(params, key) -> int:
     return value
 
 
-def parse_edge_list(text, remap_sparse_ids: bool = False):
+def parse_edge_list(text):
     """Parse whitespace-separated "u v" lines into a Graph.
 
     Blank lines and lines starting with '#' are ignored; duplicate edges
     collapse; self-loops are rejected. Node count is 1 + max id seen, so
     ids absent from the file become isolated nodes; a node count above
     SIZE_CAP raises ResourceLimitError.
-
-    With remap_sparse_ids=True, ids are compacted to 0..n-1 in first-seen
-    order and the return value is (graph, mapping) where mapping[original]
-    gives the dense id.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -220,14 +218,6 @@ def parse_edge_list(text, remap_sparse_ids: bool = False):
             raise ValidationError(f"self-loop at node {u} (line {lineno})")
         edges.append((u, v))
         max_id = max(max_id, u, v)
-    if remap_sparse_ids:
-        mapping: dict[int, int] = {}
-        for u, v in edges:
-            for w in (u, v):
-                if w not in mapping:
-                    mapping[w] = len(mapping)
-        dense = [(mapping[u], mapping[v]) for u, v in edges]
-        return Graph(max(len(mapping), 1), dense), mapping
     return Graph(max_id + 1 if max_id >= 0 else 1, edges)
 
 

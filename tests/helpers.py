@@ -1,6 +1,7 @@
 """Shared test utilities, including independent reference implementations
 used as oracles: the set-based graph constructor the array-based `Graph`
-replaced, and the synchronous round the vectorized one implements."""
+replaced, the synchronous round the vectorized one implements, and the
+set-based coupling layers the mask-based ones replaced."""
 
 import contextlib
 import resource
@@ -44,6 +45,15 @@ class ReferenceGraph:
         return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
 
 
+def neighbor_lists(g):
+    """Per-node neighbor lists built from `g.edges()`, independent of the CSR layout."""
+    nbrs = [[] for _ in range(g.node_count)]
+    for u, v in g.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
 def reference_round(g, x, marked, proposal, order=None, enforce=True):
     """Plain-loop re-derivation of one round from the update rule.
 
@@ -55,6 +65,7 @@ def reference_round(g, x, marked, proposal, order=None, enforce=True):
     n = g.node_count
     if order is None:
         order = range(n)
+    adjacency = neighbor_lists(g)
     eff = [proposal[v] if marked[v] else x[v] for v in range(n)]
     out = list(x)
     accepted = [False] * n
@@ -63,7 +74,7 @@ def reference_round(g, x, marked, proposal, order=None, enforce=True):
             continue
         c = proposal[v]
         ok = True
-        for u in g.adjacency[v]:
+        for u in adjacency[v]:
             if c == x[u] or c == eff[u]:
                 ok = False
                 break
@@ -142,3 +153,63 @@ def reference_symmetry_reduced_starts(space, node_automorphisms):
         if canon not in reps:
             reps[canon] = idx
     return np.asarray(sorted(reps.values()), dtype=np.int64)
+
+
+def reference_classify_nodes(g, pair):
+    """The set-based `classify_nodes` the mask-based one replaced: sets B and K."""
+    adjacency = neighbor_lists(g)
+    rb = {pair.r, pair.b}
+    B = {v for v in range(g.node_count) if v != pair.v0 and int(pair.x[v]) in rb}
+    K = set()
+    for v in B:
+        K.add(v)
+        K.update(adjacency[v])
+    K.discard(pair.v0)
+    return B, K
+
+
+def reference_assign_coupled_proposals(g, pair, marked, draws):
+    """The set-based `assign_coupled_proposals` the frontier-mask one replaced.
+
+    Returns ((cx, cy, mode), (B, K, S, M, F)) with B, K, S sets and M, F
+    tuples of frozensets, M[0] = F[0] = {v0}.
+    """
+    from localglauber import ProposalMode
+
+    adjacency = neighbor_lists(g)
+    n = g.node_count
+    v0, r, b = pair.v0, pair.r, pair.b
+    marked = np.asarray(marked, dtype=bool)
+    draws = np.asarray(draws, dtype=np.int64)
+
+    B, K = reference_classify_nodes(g, pair)
+    S = {v for v in range(n) if marked[v] and v != v0 and v not in K}
+
+    cx = np.where(marked, draws, pair.x)
+    cy = np.where(marked, draws, pair.y)
+    mode = np.where(marked, ProposalMode.CONSISTENT, ProposalMode.UNMARKED).astype(np.int8)
+
+    M = [frozenset({v0})]
+    F = [frozenset({v0})]
+    assigned = {v0}
+    while F[-1]:
+        frontier = set()
+        for w in F[-1]:
+            frontier.update(adjacency[w])
+        nxt = (frontier & S) - assigned
+        if not nxt:
+            break
+        flipped = set()
+        for v in nxt:
+            mode[v] = ProposalMode.MIRRORED
+            c = int(draws[v])
+            if c == r:
+                cx[v], cy[v] = r, b
+                flipped.add(v)
+            elif c == b:
+                cx[v], cy[v] = b, r
+                flipped.add(v)
+        assigned |= nxt
+        M.append(frozenset(nxt))
+        F.append(frozenset(flipped))
+    return (cx, cy, mode), (B, K, S, tuple(M), tuple(F))

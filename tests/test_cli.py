@@ -282,17 +282,23 @@ class TestConfigAndDeterminism:
         assert captured.out == ""
         assert "q must be an integer, got 2.5" in captured.err
 
-    @pytest.mark.parametrize("flag,argv", [
-        ("gamma", ("--q", "5", "--gamma", "abc", "--rounds", "1")),
-        ("eps", ("--q", "5", "--gamma", "0.3", "--eps", "abc")),
-        ("alpha", ("--config", "run.cfg", "--gamma", "0.3", "--rounds", "1")),
-        ("alpha", ("--alpha", "nan", "--gamma", "0.3", "--rounds", "1")),
-    ], ids=["gamma", "eps", "config-alpha", "alpha-nan"])
-    def test_non_numeric_value_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, argv):
-        # These ended in a ValueError traceback.
+    @pytest.mark.parametrize("flag,argv,config", [
+        ("gamma", ("sample", "--q", "5", "--gamma", "abc", "--rounds", "1"), ""),
+        ("eps", ("sample", "--q", "5", "--gamma", "0.3", "--eps", "abc"), ""),
+        ("alpha", ("sample", "--config", "run.cfg", "--gamma", "0.3", "--rounds", "1"), 'alpha = "abc"'),
+        ("alpha", ("sample", "--alpha", "nan", "--gamma", "0.3", "--rounds", "1"), ""),
+        ("rounds", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3"), "rounds = abc"),
+        ("seed", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3", "--rounds", "1"), "seed = abc"),
+        ("trials", ("couple", "--config", "run.cfg", "--q", "5", "--gamma", "0.3"), "trials = abc"),
+        ("init", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3", "--rounds", "1"), "init = bogus"),
+    ], ids=["gamma", "eps", "config-alpha", "alpha-nan", "config-rounds", "config-seed", "config-trials",
+            "config-init"])
+    def test_non_numeric_value_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, argv, config):
+        # These ended in a ValueError or TypeError traceback; init = bogus
+        # ran a greedy start.
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.cfg").write_text('alpha = "abc"\n')
-        assert run("sample", "--gen", "cycle", "--gen-args", "n=5", *argv) == 1
+        (tmp_path / "run.cfg").write_text(config + "\n")
+        assert run(argv[0], "--gen", "cycle", "--gen-args", "n=5", *argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from localglauber import (
@@ -21,6 +23,8 @@ from localglauber import (
     optimize_gamma,
     sample_adjacent_pair,
 )
+
+from helpers import reference_assign_coupled_proposals, reference_classify_nodes
 
 
 def make_pair(x, v0, new_color):
@@ -46,27 +50,33 @@ class TestAdjacentPair:
         pair = make_pair([0, 2, 2], 0, 1)
         assert pair.r == 0 and pair.b == 1
 
+    def test_direct_construction_checks_r_b(self):
+        x = np.array([0, 2, 2])
+        y = np.array([1, 2, 2])
+        with pytest.raises(ValidationError):
+            AdjacentPair(x=x, y=y, v0=0, r=1, b=0)
+
 
 class TestClassifyNodes:
     def test_empty_when_no_red_blue_elsewhere(self):
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
         B, K = classify_nodes(g, pair)
-        assert B == set() and K == set()
+        assert not B.any() and not K.any()
 
     def test_single_neighbor_with_red(self):
         g = generate("path", n=4)  # 0-1-2-3
         pair = make_pair([0, 2, 0, 3], 0, 1)  # node 2 has color r=0
         B, K = classify_nodes(g, pair)
-        assert B == {2}
-        assert K == {1, 2, 3}  # N+(2) minus v0
+        assert np.flatnonzero(B).tolist() == [2]
+        assert np.flatnonzero(K).tolist() == [1, 2, 3]  # N+(2) minus v0
 
     def test_star_all_leaves_blue(self):
         g = generate("star", n=6)  # center 0
         pair = make_pair([0, 1, 1, 1, 1, 1], 0, 1)  # leaves all colored b=1
         B, K = classify_nodes(g, pair)
-        assert B == {1, 2, 3, 4, 5}
-        assert K == {1, 2, 3, 4, 5}  # everything except v0 = center
+        assert np.flatnonzero(B).tolist() == [1, 2, 3, 4, 5]
+        assert np.flatnonzero(K).tolist() == [1, 2, 3, 4, 5]  # everything except v0 = center
 
 
 class TestAssignCoupledProposals:
@@ -125,7 +135,7 @@ class TestAssignCoupledProposals:
         assert set(layers.M[2]) == {5} and set(layers.F[2]) == {5}
         assert set(layers.M[3]) == {6} and set(layers.F[3]) == {6}
         assert set(layers.M[4]) == {3}
-        assert layers.layer_of(2) is None  # blocked behind the unflipped node 1
+        assert layers.depth[2] == -1  # blocked behind the unflipped node 1
 
     def test_layer_soundness_random_sweep(self):
         rng = np.random.default_rng(21)
@@ -136,22 +146,53 @@ class TestAssignCoupledProposals:
             marked = rng.random(12) < 0.5
             draws = rng.integers(0, q, 12)
             prop, layers = assign_coupled_proposals(g, pair, marked, draws)
-            flipped = set(prop.flipped_nodes()) - {pair.v0}
-            rb = {pair.r, pair.b}
-            for v in flipped:
-                # flipped only from mirrored sampling, always an r/b pair
-                assert prop.mode[v] == ProposalMode.MIRRORED
-                assert {int(prop.cx[v]), int(prop.cy[v])} == rb
-            for d in range(1, len(layers.M)):
-                assert layers.F[d] <= layers.M[d]
-                for v in layers.M[d]:
-                    assert v in layers.S
-                    assert any(u in layers.F[d - 1] for u in g.adjacency[v])
+            flipped = prop.cx != prop.cy
+            flipped[pair.v0] = False
+            # flipped only from mirrored sampling, always an r/b pair
+            assert np.all(prop.mode[flipped] == ProposalMode.MIRRORED)
+            assert np.all(np.minimum(prop.cx, prop.cy)[flipped] == min(pair.r, pair.b))
+            assert np.all(np.maximum(prop.cx, prop.cy)[flipped] == max(pair.r, pair.b))
+            # F[d] within M[d]; M[d] within S and next to F[d-1], for d >= 1
+            layered = layers.depth >= 1
+            assert np.array_equal(layers.flipped & layered, flipped)
+            assert np.all(layers.S[layered])
+            src, dst = g.edge_src, g.edge_dst
+            hop = layers.flipped[src] & (layers.depth[src] == layers.depth[dst] - 1)
+            assert np.all(np.isin(np.flatnonzero(layered), dst[hop]))
             # consistently sampled S-nodes never neighbor a flipped node
-            all_flipped = set().union(*[set(f) for f in layers.F])
-            for v in layers.S:
-                if prop.mode[v] == ProposalMode.CONSISTENT:
-                    assert not (set(g.adjacency[v]) & all_flipped)
+            consistent = layers.S & (prop.mode == ProposalMode.CONSISTENT)
+            assert not consistent[dst[layers.flipped[src]]].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), p=st.floats(0.0, 1.0), graph_seed=st.integers(0, 2**31 - 1),
+       seed=st.integers(0, 2**31 - 1), q=st.integers(2, 6),
+       marks=st.sampled_from(["random", "v0_unmarked", "all"]))
+@example(n=9, p=0.0, graph_seed=0, seed=0, q=3, marks="all")            # edgeless
+@example(n=2, p=1.0, graph_seed=0, seed=1, q=2, marks="all")            # n = 2
+@example(n=10, p=0.4, graph_seed=5, seed=2, q=3, marks="v0_unmarked")
+@example(n=12, p=0.3, graph_seed=7, seed=3, q=4, marks="all")
+@example(n=3, p=1.0, graph_seed=0, seed=1, q=6, marks="all")            # both flip in layer 1
+def test_layers_match_set_based_reference(n, p, graph_seed, seed, q, marks):
+    g = generate("erdos_renyi", n=n, p=p, seed=graph_seed)
+    rng = np.random.default_rng(seed)
+    pair = sample_adjacent_pair(g, q, rng)
+    marked = rng.random(n) < 0.5 if marks == "random" else np.ones(n, dtype=bool)
+    if marks == "v0_unmarked":
+        marked[pair.v0] = False
+    draws = rng.integers(0, q, n)
+
+    B, K = classify_nodes(g, pair)
+    assert (set(np.flatnonzero(B).tolist()), set(np.flatnonzero(K).tolist())) == reference_classify_nodes(g, pair)
+    prop, layers = assign_coupled_proposals(g, pair, marked, draws)
+    (cx, cy, mode), (ref_B, ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(g, pair, marked, draws)
+    assert set(np.flatnonzero(layers.B).tolist()) == ref_B
+    assert set(np.flatnonzero(layers.K).tolist()) == ref_K
+    assert set(np.flatnonzero(layers.S).tolist()) == ref_S
+    assert [set(m.tolist()) for m in layers.M] == [set(m) for m in ref_M]
+    assert [set(f.tolist()) for f in layers.F] == [set(f) for f in ref_F]
+    assert np.array_equal(prop.cx, cx) and np.array_equal(prop.cy, cy)
+    assert np.array_equal(prop.mode, mode)
 
 
 class TestCoupledStep:
@@ -230,6 +271,22 @@ class TestLemmaCheckers:
         assert report.passed
         assert report.witnesses[1] == (0, 1)
         assert report.witnesses[2] == (0, 1, 2)
+
+    @pytest.mark.parametrize("draws,x_next,y_next,node", [
+        ([0, 0, 0], [0, 0, 3], [1, 1, 3], 1),  # node 1 proposes (r, b), like v0's colors
+        ([0, 1, 1], [0, 2, 1], [1, 2, 0], 2),  # nodes 1 and 2 both propose (b, r)
+    ])
+    def test_flip_path_needs_flipped_last_hop(self, draws, x_next, y_next, node):
+        # The flipped node's proposals have the orientation of its
+        # predecessor's, so no acceptance makes it differ; next states that
+        # claim it does must be reported, not certified.
+        g = generate("path", n=3)
+        pair = make_pair([0, 2, 3], 0, 1)
+        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.5), rr([False, True, True], draws))
+        assert step.layers.flipped[node] and step.layers.depth[node] == node
+        report = check_flip_path_lemmas(g, pair, step.layers, step.proposals, np.array(x_next), np.array(y_next))
+        assert [v.node for v in report.violations] == [node]
+        assert report.witnesses == {}
 
     def test_almost_flip_path_witness(self):
         # Node 2 sits in K (next to the blue node 3), samples red

@@ -36,7 +36,7 @@ def test_complete_structure():
 def test_path_star_grid():
     assert generate("path", n=3).edges() == [(0, 1), (1, 2)]
     star = generate("star", n=5)
-    assert len(star.adjacency[0]) == 4 and star.max_degree == 4
+    assert np.count_nonzero(star.edge_src == 0) == 4 and star.max_degree == 4
     grid = generate("grid2d", rows=3, cols=4)
     assert grid.node_count == 12
     assert grid.edge_count == 3 * 3 + 2 * 4  # rows*(cols-1) + (rows-1)*cols
@@ -113,14 +113,7 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_gap_ids_become_isolated_nodes():
     g = parse_edge_list("0 5")
     assert g.node_count == 6
-    assert len(g.adjacency[3]) == 0
-
-
-def test_parse_remap_sparse_ids():
-    g, mapping = parse_edge_list("10 20\n20 30", remap_sparse_ids=True)
-    assert g.node_count == 3
-    assert mapping == {10: 0, 20: 1, 30: 2}
-    assert g.edges() == [(0, 1), (1, 2)]
+    assert 3 not in g.edge_src.tolist()
 
 
 def test_graph_rejects_bad_edges():
@@ -144,7 +137,6 @@ def test_edge_arrays_consistent():
 
 def assert_same_graph(g, ref):
     assert g.node_count == ref.node_count
-    assert g.adjacency == ref.adjacency
     for got, want in ((g.edge_src, ref.edge_src), (g.edge_dst, ref.edge_dst)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -210,12 +202,6 @@ def test_malformed_input_raises_like_set_based_constructor(node_count, edges, er
         ReferenceGraph(node_count, edges)
     with pytest.raises(error):
         Graph(node_count, edges)
-
-
-def test_adjacency_built_once_on_first_use():
-    g = generate("grid2d", rows=3, cols=3)
-    assert g.adjacency is g.adjacency
-    assert g.adjacency[4] == (1, 3, 5, 7)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,11 @@ import types
 
 import localglauber as lg
 
+RETURN_TYPES = {
+    "ContractionReport", "GammaOptimum", "ContractionEstimate", "CoupledStep", "CouplingLayers",
+    "ProposalPair", "RoundStats", "CheckReport", "MixingResult", "TVCurve",
+}
+
 
 def test_all_is_explicit_and_complete():
     public = {name for name, obj in vars(lg).items()
@@ -10,3 +15,9 @@ def test_all_is_explicit_and_complete():
     assert set(lg.__all__) == public
     assert not {"effective_proposal", "effective_proposals", "neighbors_inclusive"} & public
     assert not {"analysis", "coupling", "dynamics", "errors", "exact", "graph"} & set(lg.__all__)
+
+
+def test_return_types_are_not_exported_but_importable():
+    assert not RETURN_TYPES & set(lg.__all__)
+    assert all(any(hasattr(getattr(lg, m), name) for m in ("analysis", "coupling", "dynamics", "exact"))
+               for name in RETURN_TYPES)
