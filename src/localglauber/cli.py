@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .graph import GENERATOR_FAMILIES, Graph, generate, parse_edge_list
+from .graph import GENERATOR_FAMILIES, Graph, cycle_automorphisms, generate, parse_edge_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -360,7 +360,12 @@ def cmd_exact(args) -> int:
     ]
     irreducible = exact.check_irreducibility(P, space)
 
-    curve = exact.tv_curve(P, space, max_rounds=max_rounds, stop_tv=min(eps_list))
+    # Orbit representatives realize the maximum over all q^n starts; start 0
+    # is always the representative of its own orbit. Only a generated cycle
+    # has known node automorphisms; any graph admits color relabelling.
+    autos = cycle_automorphisms(g.node_count) if args.gen == "cycle" else []
+    starts = exact.symmetry_reduced_starts(space, autos)
+    curve = exact.tv_curve(P, space, starts=starts, max_rounds=max_rounds, stop_tv=min(eps_list))
     mixing = {}
     for eps in eps_list:
         res = exact.exact_mixing_time(P, space, eps, max_rounds=max_rounds, curve=curve)

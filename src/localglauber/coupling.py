@@ -351,7 +351,9 @@ def contraction_experiment(
     """Average the coupled one-round distance phi(X', Y') over sampled adjacent pairs.
 
     Trials use independent Philox streams keyed on (cfg.seed, trial), so
-    they are reproducible and order independent.
+    they are reproducible and order independent. One generator is re-keyed
+    per trial; a proper_random burn-in runs its own chain, which owns its
+    own generator.
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
@@ -361,8 +363,9 @@ def contraction_experiment(
     total_sq = 0.0
     max_phi = 0
     lemma_failures = 0
+    rng = None
     for trial in range(trials):
-        rng = stream(cfg.seed, trial)
+        rng = stream(cfg.seed, trial, reuse=rng)
         pair = sample_adjacent_pair(g, cfg.q, rng, sampler=pair_sampler, cfg=cfg, burn_rounds=burn_rounds)
         step = coupled_step(g, pair, cfg, _marks_then_proposals(rng, cfg, g.node_count))
         phi = hamming_distance(step.x_next, step.y_next)

@@ -62,16 +62,20 @@ class RoundRandomness:
     proposal: np.ndarray
 
 
-def draw_round_randomness(cfg: ChainConfig, n: int, round_index: int) -> RoundRandomness:
+def draw_round_randomness(
+    cfg: ChainConfig, n: int, round_index: int, rng: np.random.Generator | None = None
+) -> RoundRandomness:
     """Counter-based randomness for one round.
 
     A Philox stream keyed on (seed, round_index) yields the whole round in
     one block, so the result depends only on (seed, node id, round) and is
-    identical under any iteration order or thread schedule.
+    identical under any iteration order or thread schedule. `rng`, when
+    given, is re-keyed for the round instead of building a new generator
+    (see `_stream.stream`).
     """
     if round_index < 0:
         raise ParameterError("round_index must be >= 0")
-    return _marks_then_proposals(stream(cfg.seed, round_index), cfg, n)
+    return _marks_then_proposals(stream(cfg.seed, round_index, reuse=rng), cfg, n)
 
 
 def _marks_then_proposals(rng: np.random.Generator, cfg: ChainConfig, n: int) -> RoundRandomness:
@@ -135,8 +139,9 @@ def run_chain(g: Graph, cfg: ChainConfig, x0: np.ndarray, rounds: int, observe=N
         raise ParameterError("rounds must be >= 0")
     validate_coloring(g, cfg.q, x0)
     x = np.array(x0, dtype=np.int64)
+    rng = stream(cfg.seed, 0)  # this call's own generator, re-keyed every round
     for t in range(rounds):
-        rr = draw_round_randomness(cfg, g.node_count, t)
+        rr = draw_round_randomness(cfg, g.node_count, t, rng)
         x, accepted = apply_proposals(g, x, rr.marked, rr.proposal)
         if observe is not None:
             observe(t, rr, accepted, x)
@@ -148,8 +153,8 @@ def run_chain_trace(g: Graph, cfg: ChainConfig, x0: np.ndarray, rounds: int):
     trace: list[RoundStats] = []
 
     def record(t, rr, accepted, x):
-        n_marked = int(rr.marked.sum())
-        n_accepted = int(accepted.sum())
+        n_marked = int(np.count_nonzero(rr.marked))
+        n_accepted = int(np.count_nonzero(accepted))
         trace.append(RoundStats(t, n_marked, n_accepted, n_marked - n_accepted, is_proper(g, x)))
 
     return run_chain(g, cfg, x0, rounds, record), trace

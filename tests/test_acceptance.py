@@ -84,10 +84,11 @@ def test_criterion_2_absorption(small_matrices):
     x = lg.greedy_coloring(g, q)
     assert lg.is_proper(g, x)
     rounds = 100_000
-    for t in range(rounds):
-        rr = lg.draw_round_randomness(cfg, g.node_count, t)
-        x = lg.apply_proposals(g, x, rr.marked, rr.proposal)[0]
+
+    def stays_proper(t, rr, accepted, x):
         assert lg.is_proper(g, x), f"improper successor at round {t}"
+
+    lg.run_chain(g, cfg, x, rounds, observe=stays_proper)
     report(
         2, True,
         f"exact proper->improper mass 0 on 9 instances; {rounds} rounds on "

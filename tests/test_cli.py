@@ -365,7 +365,8 @@ GOLDEN_RUNS = {
         "e1a1169106e0cd15ac6469d2a3eac336e57c5b8bfc1b7b3769181ce972b6de11", None),
     "couple-c5-proper": (("couple", *C5, "--trials", "300", "--pair-sampler", "proper_random"), None,
         "379f08fe8606aac477249432deaf8a781ef276b234fcb47f55399b1101abf8de", None),
-    # q = 5 on C5 propagates all 3,125 starts for 70 rounds (~50 s); q = 4 takes ~1 s.
+    # q = 4 keeps the dense matrix small; the run propagates one start per
+    # orbit under rotations, reflections and color relabelling.
     "exact-c5": (("exact", "--gen", "cycle", "--gen-args", "n=5", "--q", "4", "--gamma", "0.3"), "--tv-out",
         "de7c11fba888a76ffadf787cc2931b07abc2f0eecb5f6374dc2a77a643fe5380",
         "a9be1beee227c121b4b1ae2800858946cc2a9f2ddfe9f9a760e39fc36a2f2a96"),

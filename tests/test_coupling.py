@@ -363,6 +363,16 @@ class TestContractionExperiment:
                 pair_sampler="proper_random",
             )
 
+    def test_proper_random_burn_in_keeps_the_trial_stream(self):
+        # The trial's generator is re-keyed per trial while each burn-in chain
+        # draws from a generator of its own. Recorded before either reused
+        # a generator.
+        g = generate("cycle", n=8)
+        cfg = ChainConfig(q=5, gamma=0.3, seed=4)
+        est = contraction_experiment(g, cfg, 200, pair_sampler="proper_random", burn_rounds=20, check_lemmas=True)
+        fields = [est.trials, float(est.mean).hex(), float(est.stderr).hex(), est.max_phi, est.lemma_failures]
+        assert fields == [200, "0x1.07ae147ae147bp+0", "0x1.2c7dc0f1cac13p-5", 3, 0]
+
     def test_unknown_sampler_rejected(self):
         g = generate("cycle", n=8)
         with pytest.raises(ParameterError):

@@ -76,6 +76,46 @@ class TestRoundRandomness:
         assert np.array_equal(new.random(5), old.random(5))
         assert np.array_equal(new.integers(0, 7, size=5), old.integers(0, 7, size=5))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70), st.sampled_from([1, 3, 5]))
+    @example(0, 0, 1)
+    @example(7, 2**32, 3)
+    @example(-1, 2**64 - 1, 5)
+    def test_rekeyed_stream_draws_like_a_new_one(self, seed, counter, odd_draws):
+        # Re-key after each step of partial use: a random() block, an odd
+        # number of uint32 draws (which caches the unused 32-bit half), and
+        # a few bytes (which take one more 32-bit half).
+        steps = [
+            lambda g: g.random(7),
+            lambda g: g.integers(0, 2**32 - 1, size=odd_draws, dtype=np.uint32),
+            lambda g: g.bytes(3),
+        ]
+        for used in range(1, len(steps) + 1):
+            g = stream(seed + 1, counter ^ 1)
+            for step in steps[:used]:
+                step(g)
+            assert g.bit_generator.state["has_uint32"] == (used == 2)
+            reused = stream(seed, counter, reuse=g)
+            fresh = stream(seed, counter)
+            assert reused is g
+            assert reused.bit_generator.state["state"]["key"].tolist() == \
+                fresh.bit_generator.state["state"]["key"].tolist()
+            # Raw bytes first: a bounded integer draw rejects a stale zero
+            # word and would hide a reset that was missed.
+            assert reused.bytes(5) == fresh.bytes(5)
+            assert reused.random(5).tolist() == fresh.random(5).tolist()
+            assert reused.integers(0, 2**32 - 1, size=3, dtype=np.uint32).tolist() == \
+                fresh.integers(0, 2**32 - 1, size=3, dtype=np.uint32).tolist()
+            assert reused.integers(0, 7, size=9).tolist() == fresh.integers(0, 7, size=9).tolist()
+
+    def test_round_draw_with_reused_generator(self):
+        cfg = ChainConfig(q=5, gamma=0.4, seed=3)
+        g = stream(0, 0)
+        for t in (4, 0, 2**40):
+            a = draw_round_randomness(cfg, 64, t, g)
+            b = draw_round_randomness(cfg, 64, t)
+            assert np.array_equal(a.marked, b.marked) and np.array_equal(a.proposal, b.proposal)
+
 
 class TestChainConfig:
     @pytest.mark.parametrize("q", [2.5, 3.0, "3", None])

@@ -1,3 +1,4 @@
+import pathlib
 import types
 
 import localglauber as lg
@@ -21,3 +22,9 @@ def test_return_types_are_not_exported_but_importable():
     assert not RETURN_TYPES & set(lg.__all__)
     assert all(any(hasattr(getattr(lg, m), name) for m in ("analysis", "coupling", "dynamics", "exact"))
                for name in RETURN_TYPES)
+
+
+def test_philox_is_built_only_in_the_stream_helper():
+    src = pathlib.Path(lg.__file__).parent
+    builders = sorted(p.name for p in src.glob("*.py") if "np.random.Philox(" in p.read_text())
+    assert builders == ["_stream.py"]
