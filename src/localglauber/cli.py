@@ -11,6 +11,8 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 usage error, 2 infeasible
 parameters, 3 resource cap exceeded, 4 a mandatory exact check failed.
+`sample` refuses more than 2^32 node-rounds (nodes x rounds) and `couple`
+more than 2^27 node-trials (nodes x trials), with exit 3, before any work.
 
 Options can come from a config file (--config, "key = value" lines, keys
 named like the long flags); explicit flags override file values. Every run
@@ -42,6 +44,13 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_RESOURCE = 3
 EXIT_CHECK_FAILED = 4
+
+# Work budgets, checked before a run starts. On a 2-core machine a round
+# updates ~4-9 million nodes/s, so 2^32 node-rounds take 8-16 minutes; a
+# coupled trial costs 3.6-18 us per node (ER(50) to C8), so 2^27 node-trials
+# take 8-40 minutes.
+_NODE_ROUND_BUDGET = 2 ** 32
+_NODE_TRIAL_BUDGET = 2 ** 27
 
 
 def main(argv=None) -> int:
@@ -231,6 +240,15 @@ def _contraction_margin(g: Graph, q: int, gamma: float):
     return analysis.delta_wrapup(alpha, gamma)
 
 
+def _check_budget(g: Graph, count: int, what: str, budget: int) -> None:
+    work = g.node_count * count
+    if work > budget:
+        raise ResourceLimitError(
+            f"{g.node_count:,} nodes x {count:,} {what} = {work:,} node-{what}, "
+            f"over the budget of {budget:,}"
+        )
+
+
 def _seed(args) -> int:
     return args.seed if args.seed is not None else dynamics.DEFAULT_SEED
 
@@ -303,6 +321,7 @@ def cmd_sample(args) -> int:
         if delta is None or delta <= 0.0:
             raise ParameterError("no positive contraction margin at this gamma; pass --rounds explicitly")
         rounds = analysis.mixing_bound(delta, g.node_count, eps)
+    _check_budget(g, rounds, "rounds", _NODE_ROUND_BUDGET)
 
     init = args.init or "zeros"
     if init == "zeros":
@@ -408,6 +427,7 @@ def cmd_couple(args) -> int:
     cfg = dynamics.ChainConfig(q=q, gamma=gamma, seed=_seed(args))
     trials = args.trials if args.trials is not None else 10_000
     sampler = args.pair_sampler or "uniform_random"
+    _check_budget(g, trials, "trials", _NODE_TRIAL_BUDGET)
 
     est = coupling.contraction_experiment(g, cfg, trials, pair_sampler=sampler, check_lemmas=True)
     report = {

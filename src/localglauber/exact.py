@@ -12,12 +12,11 @@ the least significant digit, so index 0 is the all-zeros coloring.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components
 
 from .dynamics import ChainConfig
@@ -26,6 +25,7 @@ from .graph import Graph, _neighbor_lists
 
 DEFAULT_ENUMERATION_CAP_BITS = 24.0   # allow q^n states up to 2^24
 DEFAULT_MATRIX_ENTRY_CAP = 2 ** 24    # allow q^n * q^n matrix entries up to 2^24
+_BLOCK = 1 << 18                      # entries per temporary block of the orbit scatter and the checks
 
 
 class StateSpace:
@@ -85,8 +85,22 @@ def build_transition_matrix(
     gamma^|M| (1-gamma)^(n-|M|) q^(-|M|) and applying the acceptance rule
     deterministically. The rule is the same as dynamics.apply_proposals
     (including the test-only reversibility switch); the equivalence is
-    pinned by tests rather than by sharing the inner loop, which here is
-    vectorized over all states at once.
+    pinned by tests rather than by sharing code.
+
+    Layout: the (q+1)^n combinations form the columns of one table (see
+    _combination_table), and rows are computed once per color-relabelling
+    orbit. For an orbit representative r (colors renamed by first
+    appearance) the acceptance rule runs vectorized over all combinations,
+    and np.bincount sums the combination weights into r's row. Every other
+    state of the orbit is sigma(r) for a color permutation sigma, and its row
+    is written as P[sigma(r), sigma(y)] = P[r, y].
+
+    P is bit-identical to a loop that adds each combination's weight to its
+    target in turn: bincount adds in column order, so row r receives that
+    loop's additions in its order; and sigma maps the combinations of row r
+    one-to-one onto those of row sigma(r) with the same marking, hence the
+    same weight, so each entry of sigma(r) receives the same number of the
+    same weight, marking by marking, in the same mask-major order.
     """
     space = StateSpace(g, cfg.q, cap_bits=cap_bits)
     Q = space.size
@@ -94,53 +108,90 @@ def build_transition_matrix(
         raise ResourceLimitError(
             f"transition matrix needs {Q}x{Q} = {Q * Q} entries, over the cap of {entry_cap}"
         )
-    P = np.zeros(Q * Q, dtype=np.float64)
-    n = g.node_count
-    q, gamma = cfg.q, cfg.gamma
-    row_base = np.arange(Q, dtype=np.int64) * Q
-    diag = row_base + np.arange(Q, dtype=np.int64)
+    n, q = g.node_count, cfg.q
+    # The combination table is held to P's cap; with one color it outgrows P.
+    if n * (q + 1) ** n > entry_cap:
+        raise ResourceLimitError(
+            f"{(q + 1) ** n} (marking, proposal) combinations of {n} nodes need "
+            f"{n * (q + 1) ** n} table entries, over the cap of {entry_cap}"
+        )
+    A, weight = _combination_table(n, q, cfg.gamma)
     nbrs = _neighbor_lists(g)
+    # base[v]: condition (i) against a marked neighbor's proposal, which no
+    # state changes; A = -1 makes it false for an unmarked neighbor.
+    base = np.zeros(A.shape, dtype=bool)
+    for v in range(n):
+        for u in nbrs[v]:
+            base[v] |= A[v] == A[u]
+    # A representative's colors are labels below n, so these are all it reads.
+    is_c = A[:, None, :] == np.arange(min(q, n), dtype=A.dtype)[None, :, None]
+    marked = A >= 0
+    proposed = A * space.q_powers[:, None]      # v's proposal times q^v
 
-    # Reusable per-node tables: neq[v][c] = (state color at v) != c, and
-    # color deltas scaled by the positional weight q^v.
-    cols = [space.states[:, v].astype(np.int64) for v in range(n)]
-    neq = [[cols[v] != c for c in range(q)] for v in range(n)]
-    cdelta = [[(c - cols[v]) * space.q_powers[v] for c in range(q)] for v in range(n)]
+    pattern = _color_pattern_index(space.states, q, space.q_powers)
+    P = np.zeros((Q, Q), dtype=np.float64)
+    for r in np.flatnonzero(pattern == np.arange(Q)):
+        x = space.states[r]
+        clash = base.copy()
+        for v in range(n):
+            for u in nbrs[v]:
+                # (i) against u's current color; (ii) marked u proposes v's color
+                clash[v] |= is_c[v, x[u]]
+                if enforce_reversibility_condition:
+                    clash[v] |= is_c[u, x[v]]
+        accepted = marked & ~clash
+        target = np.full(A.shape[1], r, dtype=np.int64)
+        for v in range(n):
+            target += (proposed[v] - x[v] * space.q_powers[v]) * accepted[v]
+        row = np.bincount(target, weights=weight, minlength=Q)
+        _scatter_orbit(P, space, x, row, np.flatnonzero(pattern == r))
+    return P
 
+
+def _combination_table(n: int, q: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """All (marking, proposal) combinations as columns, with their probabilities.
+
+    A[v, j] is node v's proposal in combination j, or -1 when v is unmarked.
+    Columns run mask-major (marking bit v = node v), then in
+    itertools.product order over the marked nodes' proposals (last marked
+    node fastest). weight[j] = gamma^k (1-gamma)^(n-k) / q^k for k marked.
+    """
+    dtype = np.min_scalar_type(-q)
+    blocks, weights = [], []
     for mask in range(1 << n):
         marked = [v for v in range(n) if mask >> v & 1]
         k = len(marked)
-        w = gamma ** k * (1.0 - gamma) ** (n - k) / q ** k
-        if k == 0:
-            P[diag] += w
-            continue
-        marked_set = set(marked)
-        for prop in itertools.product(range(q), repeat=k):
-            c_of = dict(zip(marked, prop))
-            shift = None
-            for v, c_v in zip(marked, prop):
-                acc = None
-                rejected = False
-                for u in nbrs[v]:
-                    # (i): proposal avoids u's current color and effective proposal
-                    acc = neq[u][c_v] if acc is None else acc & neq[u][c_v]
-                    if u in marked_set:
-                        c_u = c_of[u]
-                        if c_u == c_v:
-                            rejected = True
-                            break
-                        # (ii): marked neighbor must not propose v's current color
-                        if enforce_reversibility_condition:
-                            acc = acc & neq[v][c_u]
-                if rejected:
-                    continue
-                move = cdelta[v][c_v] if acc is None else cdelta[v][c_v] * acc
-                shift = move if shift is None else shift + move
-            if shift is None:
-                P[diag] += w
-            else:
-                P[diag + shift] += w
-    return P.reshape(Q, Q)
+        block = np.full((n, q ** k), -1, dtype=dtype)
+        if k:
+            block[marked] = np.indices((q,) * k, dtype=dtype).reshape(k, -1)
+        blocks.append(block)
+        weights.append(np.full(q ** k, gamma ** k * (1.0 - gamma) ** (n - k) / q ** k))
+    return np.concatenate(blocks, axis=1), np.concatenate(weights)
+
+
+def _scatter_orbit(P: np.ndarray, space: StateSpace, x: np.ndarray, row: np.ndarray, members: np.ndarray) -> None:
+    """Write P[s] for every state s in the orbit of the representative x, whose row is `row`.
+
+    s = sigma(x), where sigma maps each label of x to s's color at the
+    label's first position, and the labels x leaves unused, in increasing
+    order, to the colors s leaves unused, in increasing order.
+    """
+    q = space.q
+    support = np.flatnonzero(row)
+    values = row[support]
+    labels = space.states[support]
+    m = int(x.max()) + 1
+    first = np.unique(x, return_index=True)[1]
+    step = max(1, _BLOCK // (len(support) * len(x)))
+    for lo in range(0, len(members), step):
+        s = members[lo:lo + step]
+        sigma = np.empty((len(s), q), dtype=np.int64)
+        sigma[:, :m] = space.states[s][:, first]
+        if m < q:
+            free = np.ones((len(s), q), dtype=bool)
+            free[np.arange(len(s))[:, None], sigma[:, :m]] = False
+            sigma[:, m:] = np.nonzero(free)[1].reshape(len(s), q - m)
+        P[s[:, None], sigma[:, labels] @ space.q_powers] = values
 
 
 @dataclass
@@ -155,11 +206,19 @@ class CheckReport:
         return f"{self.name}: {status} (max_error={self.max_error:.3e}) {self.detail}".rstrip()
 
 
+def _row_blocks(P: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """P[np.ix_(rows, cols)] in blocks of whole rows of about _BLOCK entries: (row slice, block)."""
+    step = max(1, _BLOCK // max(len(cols), 1))
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        yield part, P[np.ix_(rows[part], cols)]
+
+
 def check_detailed_balance(P: np.ndarray, space: StateSpace, tol: float = 1e-12) -> CheckReport:
     """P must be symmetric on proper-proper index pairs (uniform detailed balance)."""
     idx = space.proper_indices
-    sub = P[np.ix_(idx, idx)]
-    err = float(np.abs(sub - sub.T).max()) if len(idx) else 0.0
+    maxima = [np.abs(block - P[np.ix_(idx, idx[part])].T).max() for part, block in _row_blocks(P, idx, idx)]
+    err = float(np.max(maxima, initial=0.0))
     return CheckReport("detailed_balance", err <= tol, err)
 
 
@@ -176,7 +235,7 @@ def check_absorption(P: np.ndarray, space: StateSpace) -> CheckReport:
     improper = np.flatnonzero(~space.proper_mask)
     if len(proper) == 0 or len(improper) == 0:
         return CheckReport("absorption", True, 0.0, "vacuous")
-    err = float(P[np.ix_(proper, improper)].max())
+    err = float(np.max([block.max() for _, block in _row_blocks(P, proper, improper)]))
     return CheckReport("absorption", err == 0.0, err)
 
 
@@ -188,8 +247,8 @@ def check_irreducibility(P: np.ndarray, space: StateSpace) -> CheckReport:
     idx = space.proper_indices
     if len(idx) == 0:
         return CheckReport("irreducible_on_proper", False, 0.0, "no proper colorings")
-    sub = P[np.ix_(idx, idx)] > 0.0
-    ncomp, _ = connected_components(csr_matrix(sub), directed=True, connection="strong")
+    sub = vstack([csr_matrix(block > 0.0) for _, block in _row_blocks(P, idx, idx)], format="csr")
+    ncomp, _ = connected_components(sub, directed=True, connection="strong")
     return CheckReport("irreducible_on_proper", ncomp == 1, float(ncomp - 1), f"{ncomp} strong component(s)")
 
 

@@ -213,3 +213,70 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
         M.append(frozenset(nxt))
         F.append(frozenset(flipped))
     return (cx, cy, mode), (B, K, S, tuple(M), tuple(F))
+
+
+def reference_build_transition_matrix(g, cfg, *, entry_cap=2 ** 24, cap_bits=24.0,
+                                      enforce_reversibility_condition=True):
+    """The per-combination loop `build_transition_matrix` ran before it was built per orbit.
+
+    Loops over all (marking, proposal) combinations in mask-major, then
+    `itertools.product` order, each vectorized over all q^n states.
+    """
+    import itertools
+
+    from localglauber import ResourceLimitError, StateSpace
+    from localglauber.graph import _neighbor_lists
+
+    space = StateSpace(g, cfg.q, cap_bits=cap_bits)
+    Q = space.size
+    if Q * Q > entry_cap:
+        raise ResourceLimitError(
+            f"transition matrix needs {Q}x{Q} = {Q * Q} entries, over the cap of {entry_cap}"
+        )
+    P = np.zeros(Q * Q, dtype=np.float64)
+    n = g.node_count
+    q, gamma = cfg.q, cfg.gamma
+    row_base = np.arange(Q, dtype=np.int64) * Q
+    diag = row_base + np.arange(Q, dtype=np.int64)
+    nbrs = _neighbor_lists(g)
+
+    # Reusable per-node tables: neq[v][c] = (state color at v) != c, and
+    # color deltas scaled by the positional weight q^v.
+    cols = [space.states[:, v].astype(np.int64) for v in range(n)]
+    neq = [[cols[v] != c for c in range(q)] for v in range(n)]
+    cdelta = [[(c - cols[v]) * space.q_powers[v] for c in range(q)] for v in range(n)]
+
+    for mask in range(1 << n):
+        marked = [v for v in range(n) if mask >> v & 1]
+        k = len(marked)
+        w = gamma ** k * (1.0 - gamma) ** (n - k) / q ** k
+        if k == 0:
+            P[diag] += w
+            continue
+        marked_set = set(marked)
+        for prop in itertools.product(range(q), repeat=k):
+            c_of = dict(zip(marked, prop))
+            shift = None
+            for v, c_v in zip(marked, prop):
+                acc = None
+                rejected = False
+                for u in nbrs[v]:
+                    # (i): proposal avoids u's current color and effective proposal
+                    acc = neq[u][c_v] if acc is None else acc & neq[u][c_v]
+                    if u in marked_set:
+                        c_u = c_of[u]
+                        if c_u == c_v:
+                            rejected = True
+                            break
+                        # (ii): marked neighbor must not propose v's current color
+                        if enforce_reversibility_condition:
+                            acc = acc & neq[v][c_u]
+                if rejected:
+                    continue
+                move = cdelta[v][c_v] if acc is None else cdelta[v][c_v] * acc
+                shift = move if shift is None else shift + move
+            if shift is None:
+                P[diag] += w
+            else:
+                P[diag + shift] += w
+    return P.reshape(Q, Q)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from localglauber import cli, generate, mixing_bound, optimize_gamma
 from localglauber.cli import main
 
 from helpers import address_space_limit
@@ -190,6 +191,41 @@ class TestCouple:
             data = json.loads(capsys.readouterr().out)
             assert ("delta_theory" in data) is has_theory
             assert ("within_bound" in data) is has_theory
+
+
+C6 = ("--gen", "cycle", "--gen-args", "n=6", "--q", "5", "--gamma", "0.3")
+
+
+class TestWorkBudgets:
+    @pytest.mark.parametrize("command,flag,budget,driver", [
+        ("sample", "--rounds", "_NODE_ROUND_BUDGET", (cli.dynamics, "run_chain_trace")),
+        ("couple", "--trials", "_NODE_TRIAL_BUDGET", (cli.coupling, "contraction_experiment")),
+    ])
+    def test_boundary(self, monkeypatch, capsys, command, flag, budget, driver):
+        monkeypatch.setattr(cli, budget, 60)
+        assert run(command, *C6, flag, "10") == 0          # 6 nodes x 10 = 60: at the budget
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started over the budget")
+
+        monkeypatch.setattr(*driver, refuse)
+        assert run(command, *C6, flag, "11") == 3          # 66 is over it
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"resource cap: 6 nodes x 11 {flag[2:]} = 66 node-{flag[2:]}, over the budget of 60\n"
+
+    def test_hostile_counts_exit_3(self, capsys):
+        with address_space_limit():
+            assert run("sample", *C6, "--rounds", str(10**18)) == 3
+            assert run("couple", *C6, "--trials", str(10**18)) == 3
+        assert capsys.readouterr().err.count("resource cap:") == 2
+
+    def test_benchmark_chain_within_budget(self):
+        # The whole-chain run of the grid-sample benchmark: 316x316 nodes for
+        # the mixing-bound rounds at alpha=3.
+        n = generate("grid2d", rows=316, cols=316).node_count
+        assert n * mixing_bound(optimize_gamma(3.0).delta, n, 0.25) <= cli._NODE_ROUND_BUDGET
 
 
 class TestAnalyze:

@@ -1,7 +1,12 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localglauber import (
     ChainConfig,
@@ -21,14 +26,16 @@ from localglauber import (
     exact_mixing_time,
     generate,
     improper_mass_curve,
+    optimize_gamma,
     stationary_uniform,
     symmetry_reduced_starts,
     tv_curve,
     tv_distance,
 )
+from localglauber import exact
 from localglauber.dynamics import apply_proposals
 
-from helpers import reference_symmetry_reduced_starts
+from helpers import address_space_limit, reference_build_transition_matrix, reference_symmetry_reduced_starts
 
 
 def chromatic_cycle(n, q):
@@ -97,6 +104,61 @@ class TestTransitionMatrix:
                 assert P[s, space.index_of(out)] > 0.0
 
 
+@st.composite
+def small_instances(draw):
+    """A random graph with n <= 5 and q <= 6 within the default matrix cap, a gamma and the switch."""
+    n = draw(st.integers(1, 5))
+    q = draw(st.integers(1, max(c for c in range(1, 7) if c ** n <= 4096)))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))))
+             if keep]
+    gamma = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return Graph(n, edges), q, gamma, draw(st.booleans())
+
+
+def _assert_same_as_reference(g, q, gamma, enforce):
+    cfg = ChainConfig(q=q, gamma=gamma)
+    P = build_transition_matrix(g, cfg, enforce_reversibility_condition=enforce)
+    ref = reference_build_transition_matrix(g, cfg, enforce_reversibility_condition=enforce)
+    assert P.shape == ref.shape and P.dtype == ref.dtype
+    assert P.tobytes() == ref.tobytes()
+
+
+class TestBuilderAgainstReference:
+    """The orbit builder must give the per-combination loop's matrix bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_instances())
+    @example((Graph(1, []), 1, 0.5, True))
+    @example((Graph(3, []), 3, 0.3, True))
+    @example((generate("complete", n=4), 6, 0.4, False))
+    @example((generate("cycle", n=4), 7, 0.2, True))
+    def test_random_graphs(self, instance):
+        _assert_same_as_reference(*instance)
+
+    @pytest.mark.parametrize("family,n,q,enforce", [("star", 6, 4, True), ("cycle", 10, 2, False)])
+    def test_many_combinations_per_orbit(self, family, n, q, enforce):
+        # star(6) at q=4 reaches the default cap; cycle(10) at q=2 has the
+        # most combinations per orbit representative.
+        _assert_same_as_reference(generate(family, n=n), q, 0.35, enforce)
+
+    @pytest.mark.parametrize("q,gamma,digest", [
+        (5, None, "fd1f5bf308ab751bf60b91dea684a41390f785610d62fb0ab2c4cbbc4f17206c"),
+        (4, 0.3, "2e0842fc53d5d548d3234bed944ffa11258c9af55e404d17beee08cdccf97fc8"),
+    ], ids=["q5-gamma-star", "q4"])
+    def test_c5_digest(self, q, gamma, digest):
+        # Recorded from the per-combination builder; q=5 runs at gamma*(2.5).
+        gamma = optimize_gamma(2.5).gamma if gamma is None else gamma
+        P = build_transition_matrix(generate("cycle", n=5), ChainConfig(q=q, gamma=gamma))
+        assert hashlib.sha256(P.tobytes()).hexdigest() == digest
+
+    def test_combination_table_cap(self):
+        # With one color the table (n x 2^n) outgrows P (1 x 1): 20 nodes
+        # need 20 * 2^20 entries, over the default cap of 2^24.
+        with address_space_limit(), pytest.raises(ResourceLimitError):
+            build_transition_matrix(Graph(20, []), ChainConfig(q=1, gamma=0.5))
+
+
 class TestStationarityChecks:
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.8])
     def test_triangle_detailed_balance(self, gamma):
@@ -152,6 +214,36 @@ class TestStationarityChecks:
         assert masses[0] == 1.0  # all-zeros start is improper
         assert np.all(np.diff(masses) <= 1e-15)
         assert masses[-1] < 1e-3
+
+
+class TestBlockedChecks:
+    """The proper-block checks read P in row blocks and must report the whole-block maxima."""
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["last-row-of-block", "first-row-of-next"])
+    def test_asymmetry_at_a_block_boundary(self, monkeypatch, row):
+        g = generate("cycle", n=4)
+        space = StateSpace(g, 3)
+        idx = space.proper_indices
+        improper = np.flatnonzero(~space.proper_mask)
+        monkeypatch.setattr(exact, "_BLOCK", 4 * len(idx))   # blocks of 4 rows, for P and its transpose
+        rng = np.random.default_rng(3)
+        P = rng.random((space.size, space.size))
+        P = P + P.T
+        P[np.ix_(idx, improper)] = 0.0
+        boundary = 4 + row - 1                               # row 3 ends the first block, row 4 starts the next
+        far = idx[-1]
+        P[idx[boundary], far] += 2.0 ** -30
+        P[idx[boundary], improper[row]] = 2.0 ** -40
+        sub = P[np.ix_(idx, idx)]
+        whole = float(np.abs(sub - sub.T).max())
+        assert whole > 0.0
+        assert check_detailed_balance(P, space).max_error == whole
+        assert check_absorption(P, space).max_error == float(P[np.ix_(idx, improper)].max()) == 2.0 ** -40
+        P[idx[boundary]] = 0.0                               # cut every edge out of one state
+        ncomp = connected_components(csr_matrix(P[np.ix_(idx, idx)] > 0.0), directed=True,
+                                     connection="strong")[0]
+        assert ncomp == 2
+        assert check_irreducibility(P, space).max_error == float(ncomp - 1)
 
 
 class TestMonteCarloAgainstExact:
