@@ -20,7 +20,7 @@ from .exact import (
     StateSpace, build_transition_matrix, check_absorption, check_detailed_balance,
     check_irreducibility, check_row_stochastic, check_uniform_stationary,
     enumerate_proper_colorings, exact_mixing_time, improper_mass_curve, stationary_uniform,
-    symmetry_reduced_starts, tv_curve, tv_distance,
+    symmetry_reduced_starts, tv_curve,
 )
 from .graph import Graph, cycle_automorphisms, generate, parse_edge_list
 
@@ -43,7 +43,7 @@ __all__ = [
     "StateSpace", "build_transition_matrix", "check_absorption", "check_detailed_balance",
     "check_irreducibility", "check_row_stochastic", "check_uniform_stationary",
     "enumerate_proper_colorings", "exact_mixing_time", "improper_mass_curve", "stationary_uniform",
-    "symmetry_reduced_starts", "tv_curve", "tv_distance",
+    "symmetry_reduced_starts", "tv_curve",
     # graph
     "Graph", "cycle_automorphisms", "generate", "parse_edge_list",
 ]

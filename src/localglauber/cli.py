@@ -199,8 +199,7 @@ def _build_graph(args) -> Graph:
                     raise ParameterError(f"bad --gen-args item {item!r}, expected K=V")
                 k, v = item.split("=", 1)
                 params[k.strip()] = _coerce(v.strip())
-        seed = args.seed if args.seed is not None else dynamics.DEFAULT_SEED
-        return generate(args.gen, seed=seed, **params)
+        return generate(args.gen, seed=_seed(args), **params)
     raise ParameterError("an instance is required: pass --graph FILE or --gen FAMILY")
 
 

@@ -45,6 +45,8 @@ class ChainConfig:
             raise ParameterError(f"q must be an integer, got {self.q!r}")
         if self.q < 1:
             raise ParameterError(f"q must be >= 1, got {self.q}")
+        if self.q > 1 << 63:
+            raise ParameterError(f"q must be <= 2^63, so that proposals drawn from [0, q) fit in int64, got {self.q}")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0,1), got {self.gamma}")
 
@@ -106,18 +108,30 @@ def apply_proposals(
     must leave it True.
     """
     # Only a marked node can accept, so only the edges s -> d with s marked
-    # are read. On those, e_d is proposal[d] when d is marked and x[d] if not.
+    # are read.
     sel = np.flatnonzero(marked[g.edge_src])
     src, dst = g.edge_src[sel], g.edge_dst[sel]
-    ps, pd = proposal[src], proposal[dst]
-    clash = ps == pd
-    if enforce_reversibility_condition:
-        clash |= pd == x[src]
-    clash &= marked[dst]
-    clash |= ps == x[dst]
+    clash = _clashes(proposal[src], proposal[dst], x[src], x[dst], marked[dst], enforce_reversibility_condition)
     accepted = marked.copy()
     accepted[src[clash]] = False
     return np.where(accepted, proposal, x), accepted
+
+
+def _clashes(ps, pd, xs, xd, marked_d, enforce_reversibility_condition):
+    """Conditions (i) and (ii) of `apply_proposals`: True on each directed edge s -> d that blocks s's proposal.
+
+    This is the only place the acceptance rule is written; the exact builder
+    calls it too. ps and pd are the proposals of s and d, xs and xd their
+    current colors and marked_d whether d is marked, all aligned per edge;
+    they broadcast together, so they may carry a trailing batch axis. pd is
+    read only where d is marked, and entries where s is unmarked mean nothing.
+    """
+    clash = ps == pd
+    if enforce_reversibility_condition:
+        clash |= pd == xs
+    clash &= marked_d
+    clash |= ps == xd
+    return clash
 
 
 @dataclass(frozen=True)

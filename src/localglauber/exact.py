@@ -19,9 +19,9 @@ import numpy as np
 from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components
 
-from .dynamics import ChainConfig
+from .dynamics import ChainConfig, _clashes
 from .errors import ParameterError, ResourceLimitError, ValidationError
-from .graph import Graph, _neighbor_lists
+from .graph import Graph, _neighbors
 
 DEFAULT_ENUMERATION_CAP_BITS = 24.0   # allow q^n states up to 2^24
 DEFAULT_MATRIX_ENTRY_CAP = 2 ** 24    # allow q^n * q^n matrix entries up to 2^24
@@ -83,17 +83,17 @@ def build_transition_matrix(
 
     Sums over all 2^n markings and q^|M| proposal vectors, weighting each by
     gamma^|M| (1-gamma)^(n-|M|) q^(-|M|) and applying the acceptance rule
-    deterministically. The rule is the same as dynamics.apply_proposals
-    (including the test-only reversibility switch); the equivalence is
-    pinned by tests rather than by sharing code.
+    deterministically. The rule is dynamics._clashes, the function
+    dynamics.apply_proposals resolves a round with (including the test-only
+    reversibility switch), so the two cannot drift apart.
 
     Layout: the (q+1)^n combinations form the columns of one table (see
     _combination_table), and rows are computed once per color-relabelling
     orbit. For an orbit representative r (colors renamed by first
-    appearance) the acceptance rule runs vectorized over all combinations,
-    and np.bincount sums the combination weights into r's row. Every other
-    state of the orbit is sigma(r) for a color permutation sigma, and its row
-    is written as P[sigma(r), sigma(y)] = P[r, y].
+    appearance) the rule runs vectorized over all combinations, node by
+    node on the edges v -> u, and np.bincount sums the combination weights
+    into r's row. Every other state of the orbit is sigma(r) for a color
+    permutation sigma, and its row is written as P[sigma(r), sigma(y)] = P[r, y].
 
     P is bit-identical to a loop that adds each combination's weight to its
     target in turn: bincount adds in column order, so row r receives that
@@ -116,33 +116,21 @@ def build_transition_matrix(
             f"{n * (q + 1) ** n} table entries, over the cap of {entry_cap}"
         )
     A, weight = _combination_table(n, q, cfg.gamma)
-    nbrs = _neighbor_lists(g)
-    # base[v]: condition (i) against a marked neighbor's proposal, which no
-    # state changes; A = -1 makes it false for an unmarked neighbor.
-    base = np.zeros(A.shape, dtype=bool)
-    for v in range(n):
-        for u in nbrs[v]:
-            base[v] |= A[v] == A[u]
-    # A representative's colors are labels below n, so these are all it reads.
-    is_c = A[:, None, :] == np.arange(min(q, n), dtype=A.dtype)[None, :, None]
     marked = A >= 0
-    proposed = A * space.q_powers[:, None]      # v's proposal times q^v
+    nbrs = [_neighbors(g, v) for v in range(n)]
+    # Each node's proposal at its base-q digit: a column's target state index
+    # sums, over v, the digit of the color v ends the round with.
+    A_digit = A * space.q_powers[:, None]
 
     pattern = _color_pattern_index(space.states, q, space.q_powers)
     P = np.zeros((Q, Q), dtype=np.float64)
     for r in np.flatnonzero(pattern == np.arange(Q)):
-        x = space.states[r]
-        clash = base.copy()
-        for v in range(n):
-            for u in nbrs[v]:
-                # (i) against u's current color; (ii) marked u proposes v's color
-                clash[v] |= is_c[v, x[u]]
-                if enforce_reversibility_condition:
-                    clash[v] |= is_c[u, x[v]]
-        accepted = marked & ~clash
-        target = np.full(A.shape[1], r, dtype=np.int64)
-        for v in range(n):
-            target += (proposed[v] - x[v] * space.q_powers[v]) * accepted[v]
+        x = space.states[r].astype(A.dtype)
+        accepted = marked.copy()
+        for v, u in enumerate(nbrs):
+            clash = _clashes(A[v], A[u], x[v], x[u, None], marked[u], enforce_reversibility_condition)
+            accepted[v] &= ~clash.any(axis=0)
+        target = np.where(accepted, A_digit, (x * space.q_powers)[:, None]).sum(axis=0)
         row = np.bincount(target, weights=weight, minlength=Q)
         _scatter_orbit(P, space, x, row, np.flatnonzero(pattern == r))
     return P
@@ -267,19 +255,6 @@ def stationary_uniform(space: StateSpace) -> np.ndarray:
     return mu
 
 
-def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
-    """Total variation distance (half the L1 distance) between distributions."""
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    if mu.shape != nu.shape:
-        raise ValidationError(f"distribution shapes differ: {mu.shape} vs {nu.shape}")
-    for name, d in (("mu", mu), ("nu", nu)):
-        s = d.sum()
-        if abs(s - 1.0) > 1e-9:
-            raise ValidationError(f"{name} sums to {s}, not 1 within 1e-9")
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 @dataclass
 class TVCurve:
     """Exact TV-to-stationary trajectories from a set of point-mass starts."""
@@ -312,6 +287,8 @@ def tv_curve(
     pass the output of symmetry_reduced_starts (TV from a start is constant
     on symmetry orbits, so orbit representatives realize the same maximum).
     """
+    if max_rounds < 0:
+        raise ParameterError(f"max_rounds must be >= 0, got {max_rounds}")
     if starts is None:
         starts = np.arange(space.size)
     starts = np.asarray(starts, dtype=np.int64)
@@ -372,6 +349,8 @@ def exact_mixing_time(
 
 def improper_mass_curve(P: np.ndarray, space: StateSpace, start_index: int, rounds: int) -> np.ndarray:
     """Total probability mass on improper states after each round from one start."""
+    if rounds < 0:
+        raise ParameterError(f"rounds must be >= 0, got {rounds}")
     nu = np.zeros(space.size)
     nu[start_index] = 1.0
     improper = ~space.proper_mask

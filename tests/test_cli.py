@@ -145,6 +145,14 @@ class TestExact:
         taus = [mixing[k] for k in ("0.5", "0.25", "0.1")]
         assert taus == sorted(taus)
 
+    def test_negative_max_rounds_is_usage_error(self, capsys):
+        # Used to exit 0 and report "exceeded max_rounds=-3".
+        assert run("exact", "--gen", "path", "--gen-args", "n=3", "--q", "5", "--gamma", "0.3",
+                   "--max-rounds", "-3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_rounds must be >= 0, got -3\n"
+
     def test_tv_curve_csv(self, tmp_path):
         out = tmp_path / "e.json"
         tv = tmp_path / "tv.csv"
@@ -337,6 +345,15 @@ class TestConfigAndDeterminism:
         assert run(argv[0], "--gen", "cycle", "--gen-args", "n=5", *argv[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,count", [("sample", "--rounds"), ("couple", "--trials")])
+    def test_q_beyond_int64_is_usage_error(self, capsys, command, count):
+        # Used to end in numpy's "high is out of bounds for int64" traceback.
+        assert run(command, "--gen", "cycle", "--gen-args", "n=5", "--q", str(10**20), "--gamma", "0.1",
+                   count, "2") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: q must be <= 2^63") and captured.err.count("\n") == 1
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

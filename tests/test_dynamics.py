@@ -126,6 +126,13 @@ class TestChainConfig:
     def test_numpy_integer_q_accepted(self):
         assert ChainConfig(q=np.int64(4), gamma=0.3).q == 4
 
+    def test_q_cap_is_the_int64_draw_range(self):
+        # Proposals are drawn from [0, q) as int64: 2^63 is the largest q that draws.
+        rr = draw_round_randomness(ChainConfig(q=2**63, gamma=0.5), 8, 0)
+        assert rr.proposal.dtype == np.int64 and rr.proposal.min() >= 0
+        with pytest.raises(ParameterError, match="q must be <= 2\\^63"):
+            ChainConfig(q=2**63 + 1, gamma=0.5)
+
 
 class TestLocalGlauberStep:
     def test_no_marks_is_identity(self):

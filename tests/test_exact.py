@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from localglauber import (
     ChainConfig,
     Graph,
+    ParameterError,
     ResourceLimitError,
     StateSpace,
     ValidationError,
@@ -30,7 +31,6 @@ from localglauber import (
     stationary_uniform,
     symmetry_reduced_starts,
     tv_curve,
-    tv_distance,
 )
 from localglauber import exact
 from localglauber.dynamics import apply_proposals
@@ -84,8 +84,8 @@ class TestTransitionMatrix:
             build_transition_matrix(generate("cycle", n=6), ChainConfig(q=5, gamma=0.3))
 
     def test_matches_apply_proposals_per_combo(self):
-        # The vectorized builder and the dynamics step must implement the
-        # same deterministic map (state, marking, proposals) -> state.
+        # Both share the acceptance rule (dynamics._clashes); this checks the
+        # builder's orbit and target bookkeeping around it against the kernel.
         rng = np.random.default_rng(5)
         g = generate("erdos_renyi", n=5, p=0.5, seed=1)
         space = StateSpace(g, 3)
@@ -268,24 +268,6 @@ class TestMonteCarloAgainstExact:
         assert np.all(np.abs(freq[mask] - row[mask]) <= 5 * sigma[mask])
 
 
-class TestTVDistance:
-    def test_identical_zero(self):
-        mu = np.full(4, 0.25)
-        assert tv_distance(mu, mu) == 0.0
-
-    def test_disjoint_supports_one(self):
-        assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
-
-    def test_worked_half(self):
-        assert tv_distance([1.0, 0.0], [0.5, 0.5]) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            tv_distance([1.0, 0.0], [0.5, 0.5, 0.0])
-        with pytest.raises(ValidationError):
-            tv_distance([0.9, 0.0], [0.5, 0.5])
-
-
 class TestMixingTime:
     def test_eps_one_is_zero_rounds(self):
         g = Graph(1, [])
@@ -304,6 +286,16 @@ class TestMixingTime:
         P = build_transition_matrix(g, ChainConfig(q=5, gamma=0.4))
         curve = tv_curve(P, StateSpace(g, 5), max_rounds=60)
         assert np.all(np.diff(curve.max_tv) <= 1e-12)
+
+    def test_negative_round_counts_rejected(self):
+        g = Graph(1, [])
+        space = StateSpace(g, 2)
+        P = build_transition_matrix(g, ChainConfig(q=2, gamma=0.5))
+        with pytest.raises(ParameterError, match="max_rounds must be >= 0"):
+            tv_curve(P, space, max_rounds=-1)
+        with pytest.raises(ParameterError, match="rounds must be >= 0"):
+            improper_mass_curve(P, space, start_index=0, rounds=-1)
+        assert tv_curve(P, space, max_rounds=0).rounds.tolist() == [0]
 
     def test_exceeded_reported_not_raised(self):
         g = generate("cycle", n=4)

@@ -1,7 +1,11 @@
+import functools
 import pathlib
 import types
 
+import numpy as np
+
 import localglauber as lg
+from localglauber import dynamics, exact
 
 RETURN_TYPES = {
     "ContractionReport", "GammaOptimum", "ContractionEstimate", "CoupledStep", "CouplingLayers",
@@ -28,3 +32,23 @@ def test_philox_is_built_only_in_the_stream_helper():
     src = pathlib.Path(lg.__file__).parent
     builders = sorted(p.name for p in src.glob("*.py") if "np.random.Philox(" in p.read_text())
     assert builders == ["_stream.py"]
+
+
+def test_kernel_and_exact_builder_share_one_acceptance_rule(monkeypatch):
+    # Both resolve proposals through dynamics._clashes: under a rule that
+    # never clashes, every marked node adopts its proposal in both.
+    def never(ps, pd, *rest):
+        return np.zeros(np.broadcast_shapes(np.shape(ps), np.shape(pd)), dtype=bool)
+
+    assert exact._clashes is dynamics._clashes
+    for module in (dynamics, exact):
+        monkeypatch.setattr(module, "_clashes", never)
+    g = lg.generate("cycle", n=4)
+    marked = np.array([True, True, False, True])
+    out, accepted = lg.apply_proposals(g, np.zeros(4, dtype=np.int64), marked, np.array([1, 1, 2, 0]))
+    assert accepted.tolist() == marked.tolist() and out.tolist() == [1, 1, 0, 0]
+    # Nodes then move independently, so P is a Kronecker power of the one-node matrix.
+    q, gamma = 3, 0.3
+    P = lg.build_transition_matrix(g, lg.ChainConfig(q=q, gamma=gamma))
+    one_node = (1 - gamma) * np.eye(q) + gamma / q
+    assert np.allclose(P, functools.reduce(np.kron, [one_node] * 4), rtol=0.0, atol=1e-12)
