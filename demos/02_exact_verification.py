@@ -33,11 +33,9 @@ for check in (
 ):
     print(f"  {check}")
 
-# Sanity: the reversibility part of the acceptance rule is load-bearing.
-# Dropping it visibly breaks the detailed-balance symmetry on this instance.
-P_bad = lg.build_transition_matrix(g, cfg, enforce_reversibility_condition=False)
-bad = lg.check_detailed_balance(P_bad, space)
-print(f"  without the reversibility condition: {bad}")
+# Condition (ii) of the acceptance rule is what makes P symmetric: without
+# it, detailed balance fails on this instance. Criterion 3 of
+# tests/test_acceptance.py checks that regression on P3 and C4.
 
 # Exact TV curve, with the maximum over start states taken exactly via
 # symmetry: TV from a start is invariant under rotations/reflections of the

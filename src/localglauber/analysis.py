@@ -30,6 +30,10 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError
 
+# optimize_gamma's coarse grid step and its golden-section tolerance.
+_GRID_STEP = 1e-3
+_TOL = 1e-9
+
 
 def path_bound(max_degree: int, q: int, gamma: float) -> float:
     """Closed form of the expected differing nodes beyond v0; needs 2*gamma*D/q < 1."""
@@ -76,26 +80,26 @@ class GammaOptimum:
     feasible: bool
 
 
-def optimize_gamma(alpha: float, grid_step: float = 1e-3, tol: float = 1e-9) -> GammaOptimum:
+def optimize_gamma(alpha: float) -> GammaOptimum:
     """Maximize delta(alpha, .) over gamma in (0, min(1, alpha/2)).
 
     gamma is a marking probability, so the search stays inside (0, 1) even
     when the bound's formal domain extends further. A coarse grid brackets
-    the maximum and golden-section search refines it to |interval| <= tol.
+    the maximum and golden-section search refines it to |interval| <= 1e-9.
     Infeasibility (no positive margin, i.e. alpha <= 2) is reported via
     feasible=False with the best grid point found.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     hi = min(1.0, alpha / 2.0) * (1.0 - 1e-12)
-    grid = np.arange(grid_step, hi, grid_step)
+    grid = np.arange(_GRID_STEP, hi, _GRID_STEP)
     if len(grid) == 0:
         raise ParameterError(f"empty search interval for alpha={alpha}")
     values = [delta_wrapup(alpha, g) for g in grid]
     best = int(np.argmax(values))
     lo_b = grid[best - 1] if best > 0 else grid[0] / 2.0
     hi_b = grid[best + 1] if best + 1 < len(grid) else hi
-    gamma_star, delta_star = _golden_section(lambda g: delta_wrapup(alpha, g), lo_b, hi_b, tol)
+    gamma_star, delta_star = _golden_section(lambda g: delta_wrapup(alpha, g), lo_b, hi_b, _TOL)
     if values[best] > delta_star:
         gamma_star, delta_star = grid[best], values[best]
     return GammaOptimum(

@@ -165,15 +165,6 @@ def _convert(action: argparse.Action, key: str, value: str):
     return value
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 def _number(raw, what: str) -> float:
     """float(raw) for a numeric option; anything else is a usage error."""
     try:
@@ -197,8 +188,10 @@ def _build_graph(args) -> Graph:
             for item in str(args.gen_args).split(","):
                 if "=" not in item:
                     raise ParameterError(f"bad --gen-args item {item!r}, expected K=V")
-                k, v = item.split("=", 1)
-                params[k.strip()] = _coerce(v.strip())
+                k, v = (part.strip() for part in item.split("=", 1))
+                if k in ("family", "seed"):
+                    raise ParameterError(f"--gen-args cannot set {k!r}; use --gen and --seed")
+                params[k] = v
         return generate(args.gen, seed=_seed(args), **params)
     raise ParameterError("an instance is required: pass --graph FILE or --gen FAMILY")
 
@@ -230,13 +223,13 @@ def _resolve_gamma(args, g: Graph, q: int):
 
 
 def _contraction_margin(g: Graph, q: int, gamma: float):
-    """delta_wrapup(q/D, gamma) inside the bound's domain (2*gamma/alpha < 1), else None."""
+    """delta_wrapup(q/D, gamma), or None where the graph has no edge or (q/D, gamma) is outside its domain."""
     if g.max_degree == 0:
         return None
-    alpha = q / g.max_degree
-    if 2.0 * gamma / alpha >= 1.0:
+    try:
+        return analysis.delta_wrapup(q / g.max_degree, gamma)
+    except ParameterError:
         return None
-    return analysis.delta_wrapup(alpha, gamma)
 
 
 def _check_budget(g: Graph, count: int, what: str, budget: int) -> None:

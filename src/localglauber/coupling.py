@@ -182,7 +182,6 @@ class CoupledStep:
     y_next: np.ndarray
     proposals: ProposalPair
     layers: CouplingLayers
-    marked: np.ndarray
 
 
 def coupled_step(g: Graph, pair: AdjacentPair, cfg: ChainConfig, rr: RoundRandomness) -> CoupledStep:
@@ -192,7 +191,7 @@ def coupled_step(g: Graph, pair: AdjacentPair, cfg: ChainConfig, rr: RoundRandom
     proposals, layers = assign_coupled_proposals(g, pair, rr.marked, rr.proposal)
     x_next, _ = apply_proposals(g, pair.x, rr.marked, proposals.cx)
     y_next, _ = apply_proposals(g, pair.y, rr.marked, proposals.cy)
-    return CoupledStep(x_next=x_next, y_next=y_next, proposals=proposals, layers=layers, marked=rr.marked)
+    return CoupledStep(x_next=x_next, y_next=y_next, proposals=proposals, layers=layers)
 
 
 def hamming_distance(x: np.ndarray, y: np.ndarray) -> int:
@@ -313,26 +312,10 @@ class ContractionEstimate:
 PAIR_SAMPLERS = ("uniform_random", "proper_random")
 
 
-def sample_adjacent_pair(
-    g: Graph,
-    q: int,
-    rng: np.random.Generator,
-    sampler: str = "uniform_random",
-    cfg: ChainConfig | None = None,
-    burn_rounds: int = 0,
-) -> AdjacentPair:
-    """Draw an adjacent pair: X arbitrary uniform, or a burned-in chain state."""
-    if sampler == "uniform_random":
+def sample_adjacent_pair(g: Graph, q: int, rng: np.random.Generator, x: np.ndarray | None = None) -> AdjacentPair:
+    """Draw an adjacent pair around X: a uniform coloring when x is None, then v0 and Y's color there."""
+    if x is None:
         x = rng.integers(0, q, size=g.node_count, dtype=np.int64)
-    elif sampler == "proper_random":
-        if q <= g.max_degree:
-            raise ParameterError("proper_random sampling needs q > max_degree")
-        if cfg is None:
-            raise ParameterError("proper_random sampling needs a chain config")
-        burn_cfg = ChainConfig(q=q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
-        x = run_chain(g, burn_cfg, greedy_coloring(g, q), burn_rounds)
-    else:
-        raise ParameterError(f"unknown pair sampler {sampler!r}; expected one of {PAIR_SAMPLERS}")
     v0 = int(rng.integers(g.node_count))
     y = np.array(x)
     shift = 1 + int(rng.integers(q - 1))
@@ -350,13 +333,25 @@ def contraction_experiment(
 ) -> ContractionEstimate:
     """Average the coupled one-round distance phi(X', Y') over sampled adjacent pairs.
 
-    Trials use independent Philox streams keyed on (cfg.seed, trial), so
-    they are reproducible and order independent. One generator is re-keyed
-    per trial; a proper_random burn-in runs its own chain, which owns its
-    own generator.
+    X is a uniform coloring ("uniform_random"), or the state after
+    `burn_rounds` rounds of the chain from a greedy coloring
+    ("proper_random", which needs q > max_degree). Trials use independent
+    Philox streams keyed on (cfg.seed, trial), so they are reproducible and
+    order independent. One generator is re-keyed per trial; a proper_random
+    burn-in draws its seed from the trial's stream and runs its own chain,
+    which owns its own generator.
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
+    if cfg.q < 2:
+        raise ParameterError("coupling needs q >= 2 (two colors must differ at v0)")
+    if pair_sampler not in PAIR_SAMPLERS:
+        raise ParameterError(f"unknown pair sampler {pair_sampler!r}; expected one of {PAIR_SAMPLERS}")
+    start = None
+    if pair_sampler == "proper_random":
+        if cfg.q <= g.max_degree:
+            raise ParameterError("proper_random sampling needs q > max_degree")
+        start = greedy_coloring(g, cfg.q)
     if trials == 0:
         return ContractionEstimate(trials=0, mean=float("nan"), stderr=float("nan"), max_phi=0, lemma_failures=0)
     total = 0.0
@@ -366,7 +361,11 @@ def contraction_experiment(
     rng = None
     for trial in range(trials):
         rng = stream(cfg.seed, trial, reuse=rng)
-        pair = sample_adjacent_pair(g, cfg.q, rng, sampler=pair_sampler, cfg=cfg, burn_rounds=burn_rounds)
+        x = None
+        if start is not None:
+            burn_cfg = ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
+            x = run_chain(g, burn_cfg, start, burn_rounds)
+        pair = sample_adjacent_pair(g, cfg.q, rng, x)
         step = coupled_step(g, pair, cfg, _marks_then_proposals(rng, cfg, g.node_count))
         phi = hamming_distance(step.x_next, step.y_next)
         total += phi

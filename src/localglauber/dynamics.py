@@ -86,14 +86,7 @@ def _marks_then_proposals(rng: np.random.Generator, cfg: ChainConfig, n: int) ->
     return RoundRandomness(marked=marked, proposal=rng.integers(0, cfg.q, size=n, dtype=np.int64))
 
 
-def apply_proposals(
-    g: Graph,
-    x: np.ndarray,
-    marked: np.ndarray,
-    proposal: np.ndarray,
-    *,
-    enforce_reversibility_condition: bool = True,
-):
+def apply_proposals(g: Graph, x: np.ndarray, marked: np.ndarray, proposal: np.ndarray):
     """Resolve one round of proposals; returns (new_colors, accepted_mask).
 
     A marked node v with proposal c_v is accepted iff for every neighbor u
@@ -102,22 +95,19 @@ def apply_proposals(
         (i)  c_v != x[u]  and  c_v != e_u
         (ii) if u is marked: c_u != x[v]
     Condition (ii) rejects moves whose reverse move condition (i) would
-    block, which is what makes the chain reversible on proper colorings;
-    the `enforce_reversibility_condition` switch exists only so tests can
-    demonstrate that dropping it breaks detailed balance. Production code
-    must leave it True.
+    block, which is what makes the chain reversible on proper colorings.
     """
     # Only a marked node can accept, so only the edges s -> d with s marked
     # are read.
     sel = np.flatnonzero(marked[g.edge_src])
     src, dst = g.edge_src[sel], g.edge_dst[sel]
-    clash = _clashes(proposal[src], proposal[dst], x[src], x[dst], marked[dst], enforce_reversibility_condition)
+    clash = _clashes(proposal[src], proposal[dst], x[src], x[dst], marked[dst])
     accepted = marked.copy()
     accepted[src[clash]] = False
     return np.where(accepted, proposal, x), accepted
 
 
-def _clashes(ps, pd, xs, xd, marked_d, enforce_reversibility_condition):
+def _clashes(ps, pd, xs, xd, marked_d):
     """Conditions (i) and (ii) of `apply_proposals`: True on each directed edge s -> d that blocks s's proposal.
 
     This is the only place the acceptance rule is written; the exact builder
@@ -127,8 +117,7 @@ def _clashes(ps, pd, xs, xd, marked_d, enforce_reversibility_condition):
     read only where d is marked, and entries where s is unmarked mean nothing.
     """
     clash = ps == pd
-    if enforce_reversibility_condition:
-        clash |= pd == xs
+    clash |= pd == xs
     clash &= marked_d
     clash |= ps == xd
     return clash

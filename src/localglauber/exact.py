@@ -23,7 +23,7 @@ from .dynamics import ChainConfig, _clashes
 from .errors import ParameterError, ResourceLimitError, ValidationError
 from .graph import Graph, _neighbors
 
-DEFAULT_ENUMERATION_CAP_BITS = 24.0   # allow q^n states up to 2^24
+ENUMERATION_CAP_BITS = 24.0           # allow q^n states up to 2^24
 DEFAULT_MATRIX_ENTRY_CAP = 2 ** 24    # allow q^n * q^n matrix entries up to 2^24
 _BLOCK = 1 << 18                      # entries per temporary block of the orbit scatter and the checks
 
@@ -31,13 +31,13 @@ _BLOCK = 1 << 18                      # entries per temporary block of the orbit
 class StateSpace:
     """All q^n colorings of a graph, with a properness mask."""
 
-    def __init__(self, graph: Graph, q: int, cap_bits: float = DEFAULT_ENUMERATION_CAP_BITS):
+    def __init__(self, graph: Graph, q: int):
         if q < 1:
             raise ParameterError(f"q must be >= 1, got {q}")
         n = graph.node_count
-        if n * math.log2(q) > cap_bits and q > 1:
+        if n * math.log2(q) > ENUMERATION_CAP_BITS:
             raise ResourceLimitError(
-                f"q^n = {q}^{n} exceeds the enumeration budget of 2^{cap_bits:g} states"
+                f"q^n = {q}^{n} exceeds the enumeration budget of 2^{ENUMERATION_CAP_BITS:g} states"
             )
         self.graph = graph
         self.q = q
@@ -64,28 +64,21 @@ class StateSpace:
         return int(self.proper_mask.sum())
 
 
-def enumerate_proper_colorings(g: Graph, q: int, cap_bits: float = DEFAULT_ENUMERATION_CAP_BITS):
+def enumerate_proper_colorings(g: Graph, q: int):
     """All proper q-colorings in index order; returns (array of colorings, count)."""
-    space = StateSpace(g, q, cap_bits=cap_bits)
+    space = StateSpace(g, q)
     proper = space.states[space.proper_mask].astype(np.int64)
     return proper, len(proper)
 
 
-def build_transition_matrix(
-    g: Graph,
-    cfg: ChainConfig,
-    *,
-    entry_cap: int = DEFAULT_MATRIX_ENTRY_CAP,
-    cap_bits: float = DEFAULT_ENUMERATION_CAP_BITS,
-    enforce_reversibility_condition: bool = True,
-) -> np.ndarray:
+def build_transition_matrix(g: Graph, cfg: ChainConfig, *, entry_cap: int = DEFAULT_MATRIX_ENTRY_CAP) -> np.ndarray:
     """Exact dense one-round transition matrix, rows indexed like StateSpace.
 
     Sums over all 2^n markings and q^|M| proposal vectors, weighting each by
     gamma^|M| (1-gamma)^(n-|M|) q^(-|M|) and applying the acceptance rule
     deterministically. The rule is dynamics._clashes, the function
-    dynamics.apply_proposals resolves a round with (including the test-only
-    reversibility switch), so the two cannot drift apart.
+    dynamics.apply_proposals resolves a round with, so the two cannot drift
+    apart.
 
     Layout: the (q+1)^n combinations form the columns of one table (see
     _combination_table), and rows are computed once per color-relabelling
@@ -102,7 +95,7 @@ def build_transition_matrix(
     same weight, so each entry of sigma(r) receives the same number of the
     same weight, marking by marking, in the same mask-major order.
     """
-    space = StateSpace(g, cfg.q, cap_bits=cap_bits)
+    space = StateSpace(g, cfg.q)
     Q = space.size
     if Q * Q > entry_cap:
         raise ResourceLimitError(
@@ -128,7 +121,7 @@ def build_transition_matrix(
         x = space.states[r].astype(A.dtype)
         accepted = marked.copy()
         for v, u in enumerate(nbrs):
-            clash = _clashes(A[v], A[u], x[v], x[u, None], marked[u], enforce_reversibility_condition)
+            clash = _clashes(A[v], A[u], x[v], x[u, None], marked[u])
             accepted[v] &= ~clash.any(axis=0)
         target = np.where(accepted, A_digit, (x * space.q_powers)[:, None]).sum(axis=0)
         row = np.bincount(target, weights=weight, minlength=Q)

@@ -15,7 +15,12 @@ import numpy as np
 from ._stream import stream
 from .errors import ParameterError, ParseError, ResourceLimitError, ValidationError
 
-GENERATOR_FAMILIES = ("cycle", "path", "complete", "star", "grid2d", "erdos_renyi")
+# The parameters each generator family takes.
+_FAMILY_PARAMETERS = {
+    "cycle": {"n"}, "path": {"n"}, "complete": {"n"}, "star": {"n"},
+    "grid2d": {"rows", "cols"}, "erdos_renyi": {"n", "p"},
+}
+GENERATOR_FAMILIES = tuple(_FAMILY_PARAMETERS)
 
 # Largest node count of any graph, and largest number of node pairs that
 # `complete` and `erdos_renyi` enumerate. Checked before anything of that
@@ -112,10 +117,19 @@ def generate(family: str, seed: int = 0, **params) -> Graph:
         cycle(n>=3), path(n>=1), complete(n>=1), star(n>=1, center 0),
         grid2d(rows>=1, cols>=1), erdos_renyi(n>=1, p in [0,1]).
 
+    A size is an int or a string of one, and p a number or a string of
+    one; a parameter the family does not take is a ParameterError.
+
     The result is a pure function of (family, params, seed); only
     erdos_renyi consumes the seed. Sizes above SIZE_CAP nodes (or node
     pairs, for complete and erdos_renyi) raise ResourceLimitError.
     """
+    if family not in _FAMILY_PARAMETERS:
+        raise ParameterError(f"unknown family {family!r}; expected one of {GENERATOR_FAMILIES}")
+    allowed = _FAMILY_PARAMETERS[family]
+    if not params.keys() <= allowed:
+        extra = sorted(params.keys() - allowed)
+        raise ParameterError(f"{family} takes no parameter {extra[0]!r}; it takes {sorted(allowed)}")
     if family == "grid2d":
         rows = _size(params, "rows")
         cols = _size(params, "cols")
@@ -125,8 +139,6 @@ def generate(family: str, seed: int = 0, **params) -> Graph:
         u = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
         v = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
         return Graph(n, np.array((u, v)).T)
-    if family not in GENERATOR_FAMILIES:
-        raise ParameterError(f"unknown family {family!r}; expected one of {GENERATOR_FAMILIES}")
     n = _size(params, "n")
     _check_cap(n, "nodes")
     nodes = np.arange(n, dtype=np.int64)
@@ -178,12 +190,14 @@ def _erdos_renyi_edges(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndar
 
 
 def _size(params, key) -> int:
+    """params[key] as a size >= 1: an int, or a string that spells one (5.5 and "5.5" are refused)."""
+    if key not in params:
+        raise ParameterError(f"missing parameter {key!r}")
+    raw = params[key]
     try:
-        value = int(params[key])
-    except KeyError:
-        raise ParameterError(f"missing parameter {key!r}") from None
+        value = int(raw) if isinstance(raw, str) else operator.index(raw)
     except (TypeError, ValueError):
-        raise ParameterError(f"parameter {key!r} must be an integer") from None
+        raise ParameterError(f"parameter {key!r} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ParameterError(f"parameter {key!r} must be >= 1, got {value}")
     return value

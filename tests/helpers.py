@@ -8,7 +8,7 @@ import resource
 
 import numpy as np
 
-from localglauber import ParameterError, ValidationError
+from localglauber import ParameterError, ValidationError, dynamics, exact
 
 
 class ReferenceGraph:
@@ -85,6 +85,29 @@ def reference_round(g, x, marked, proposal, order=None, enforce=True):
             out[v] = c
             accepted[v] = True
     return np.asarray(out, dtype=np.int64), np.asarray(accepted, dtype=bool)
+
+
+def _clashes_without_condition_ii(ps, pd, xs, xd, marked_d):
+    """`dynamics._clashes` with the `pd == xs` term, condition (ii), dropped."""
+    clash = ps == pd
+    clash &= marked_d
+    clash |= ps == xd
+    return clash
+
+
+@contextlib.contextmanager
+def without_condition_ii():
+    """Run the round kernel and the exact builder under the rule without condition (ii).
+
+    Both read the rule as `_clashes` from their own module, so both names are
+    replaced, and restored on exit.
+    """
+    saved = dynamics._clashes, exact._clashes
+    dynamics._clashes = exact._clashes = _clashes_without_condition_ii
+    try:
+        yield
+    finally:
+        dynamics._clashes, exact._clashes = saved
 
 
 def random_graph_and_coloring(rng, n_max=12, q_max=7, proper=False):
@@ -215,8 +238,7 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
     return (cx, cy, mode), (B, K, S, tuple(M), tuple(F))
 
 
-def reference_build_transition_matrix(g, cfg, *, entry_cap=2 ** 24, cap_bits=24.0,
-                                      enforce_reversibility_condition=True):
+def reference_build_transition_matrix(g, cfg, *, entry_cap=2 ** 24, enforce_reversibility_condition=True):
     """The per-combination loop `build_transition_matrix` ran before it was built per orbit.
 
     Loops over all (marking, proposal) combinations in mask-major, then
@@ -227,7 +249,7 @@ def reference_build_transition_matrix(g, cfg, *, entry_cap=2 ** 24, cap_bits=24.
     from localglauber import ResourceLimitError, StateSpace
     from localglauber.graph import _neighbor_lists
 
-    space = StateSpace(g, cfg.q, cap_bits=cap_bits)
+    space = StateSpace(g, cfg.q)
     Q = space.size
     if Q * Q > entry_cap:
         raise ResourceLimitError(

@@ -200,6 +200,16 @@ class TestCouple:
             assert ("delta_theory" in data) is has_theory
             assert ("within_bound" in data) is has_theory
 
+    @pytest.mark.parametrize("trials", ["3", "0"])
+    def test_one_color_is_usage_error(self, capsys, trials):
+        # Ended in numpy's "high <= 0" traceback from the pair sampler's shift
+        # draw; with no trial it exited 0.
+        assert run("couple", "--gen", "cycle", "--gen-args", "n=5", "--q", "1", "--gamma", "0.3",
+                   "--trials", trials) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coupling needs q >= 2") and captured.err.count("\n") == 1
+
 
 C6 = ("--gen", "cycle", "--gen-args", "n=6", "--q", "5", "--gamma", "0.3")
 
@@ -354,6 +364,22 @@ class TestConfigAndDeterminism:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: q must be <= 2^63") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("gen,gen_args,message", [
+        ("cycle", "n=5.5", "parameter 'n' must be an integer"),
+        ("grid2d", "rows=2.9,cols=3", "parameter 'rows' must be an integer"),
+        ("cycle", "n=5,p=0.3", "cycle takes no parameter 'p'"),
+        ("erdos_renyi", "n=5,P=0.1", "erdos_renyi takes no parameter 'P'"),
+        ("cycle", "n=5,seed=3", "--gen-args cannot set 'seed'"),
+    ], ids=["float-size", "float-rows", "foreign-key", "typo", "seed"])
+    def test_bad_generator_parameters_are_usage_errors(self, capsys, gen, gen_args, message):
+        # Sizes used to be truncated and unknown keys dropped, with exit 0;
+        # seed ended in a TypeError traceback.
+        assert run("sample", "--gen", gen, "--gen-args", gen_args, "--q", "5", "--gamma", "0.3",
+                   "--rounds", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

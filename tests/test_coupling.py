@@ -378,6 +378,17 @@ class TestContractionExperiment:
         with pytest.raises(ParameterError):
             contraction_experiment(g, ChainConfig(q=5, gamma=0.3), trials=10, pair_sampler="bogus")
 
+    @pytest.mark.parametrize("trials", [0, 3])
+    def test_parameters_checked_before_any_trial(self, trials):
+        # The checks run once per experiment, also when there is no trial.
+        g = generate("cycle", n=5)
+        with pytest.raises(ParameterError, match="q >= 2"):
+            contraction_experiment(g, ChainConfig(q=1, gamma=0.3), trials)
+        with pytest.raises(ParameterError, match="unknown pair sampler"):
+            contraction_experiment(g, ChainConfig(q=5, gamma=0.3), trials, pair_sampler="bogus")
+        with pytest.raises(ParameterError, match="q > max_degree"):
+            contraction_experiment(g, ChainConfig(q=2, gamma=0.3), trials, pair_sampler="proper_random")
+
     @pytest.mark.parametrize("sampler,trials,expected", [
         ("uniform_random", 300, [300, "0x1.c28f5c28f5c29p-1", "0x1.ce60e8f1eaea7p-6", 3, 0]),
         ("proper_random", 40, [40, "0x1.999999999999ap-1", "0x1.4a3ae659bd065p-4", 2, 0]),

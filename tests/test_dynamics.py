@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 
 import numpy as np
@@ -27,7 +28,7 @@ from localglauber import (
 from localglauber._stream import stream
 from localglauber.dynamics import _PROPER_BLOCK
 
-from helpers import random_graph_and_coloring, reference_round
+from helpers import random_graph_and_coloring, reference_round, without_condition_ii
 
 
 class TestRoundRandomness:
@@ -168,8 +169,9 @@ class TestLocalGlauberStep:
         marked, proposal = np.array([True, True]), np.array([7, 2])
         out = apply_proposals(g, x, marked, proposal)[0]
         assert np.array_equal(out, x)  # both rejected: 1 by (i), 0 by (ii)
-        relaxed = apply_proposals(g, x, marked, proposal, enforce_reversibility_condition=False)[0]
-        assert relaxed[0] == 7  # switch off: v=0 accepts
+        with without_condition_ii():
+            relaxed = apply_proposals(g, x, marked, proposal)[0]
+        assert relaxed[0] == 7  # without (ii): v=0 accepts
 
     def test_clean_simultaneous_updates_accepted(self):
         g = Graph(2, [(0, 1)])
@@ -253,7 +255,8 @@ class TestKernelsAgainstReferences:
     def test_apply_proposals_matches_reference_round(self, case, enforce, seed):
         g, x, marked, proposal = case
         order = np.random.default_rng(seed).permutation(g.node_count)
-        got_x, got_accepted = apply_proposals(g, x, marked, proposal, enforce_reversibility_condition=enforce)
+        with contextlib.nullcontext() if enforce else without_condition_ii():
+            got_x, got_accepted = apply_proposals(g, x, marked, proposal)
         want_x, want_accepted = reference_round(g, x, marked, proposal, order=order, enforce=enforce)
         assert np.array_equal(got_x, want_x)
         assert np.array_equal(got_accepted, want_accepted)

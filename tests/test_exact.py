@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 
@@ -35,7 +36,9 @@ from localglauber import (
 from localglauber import exact
 from localglauber.dynamics import apply_proposals
 
-from helpers import address_space_limit, reference_build_transition_matrix, reference_symmetry_reduced_starts
+from helpers import (
+    address_space_limit, reference_build_transition_matrix, reference_symmetry_reduced_starts, without_condition_ii,
+)
 
 
 def chromatic_cycle(n, q):
@@ -89,24 +92,20 @@ class TestTransitionMatrix:
         rng = np.random.default_rng(5)
         g = generate("erdos_renyi", n=5, p=0.5, seed=1)
         space = StateSpace(g, 3)
-        for enforce in (True, False):
-            P = build_transition_matrix(
-                g, ChainConfig(q=3, gamma=0.4), enforce_reversibility_condition=enforce
-            )
-            for _ in range(300):
-                s = int(rng.integers(space.size))
-                marked = rng.random(5) < 0.5
-                proposal = rng.integers(0, 3, 5)
-                out, _ = apply_proposals(
-                    g, space.coloring_of(s), marked, proposal,
-                    enforce_reversibility_condition=enforce,
-                )
-                assert P[s, space.index_of(out)] > 0.0
+        for rule in (contextlib.nullcontext(), without_condition_ii()):
+            with rule:
+                P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.4))
+                for _ in range(300):
+                    s = int(rng.integers(space.size))
+                    marked = rng.random(5) < 0.5
+                    proposal = rng.integers(0, 3, 5)
+                    out, _ = apply_proposals(g, space.coloring_of(s), marked, proposal)
+                    assert P[s, space.index_of(out)] > 0.0
 
 
 @st.composite
 def small_instances(draw):
-    """A random graph with n <= 5 and q <= 6 within the default matrix cap, a gamma and the switch."""
+    """A random graph with n <= 5 and q <= 6 within the default matrix cap, a gamma and whether to keep (ii)."""
     n = draw(st.integers(1, 5))
     q = draw(st.integers(1, max(c for c in range(1, 7) if c ** n <= 4096)))
     pairs = list(itertools.combinations(range(n), 2))
@@ -118,7 +117,8 @@ def small_instances(draw):
 
 def _assert_same_as_reference(g, q, gamma, enforce):
     cfg = ChainConfig(q=q, gamma=gamma)
-    P = build_transition_matrix(g, cfg, enforce_reversibility_condition=enforce)
+    with contextlib.nullcontext() if enforce else without_condition_ii():
+        P = build_transition_matrix(g, cfg)
     ref = reference_build_transition_matrix(g, cfg, enforce_reversibility_condition=enforce)
     assert P.shape == ref.shape and P.dtype == ref.dtype
     assert P.tobytes() == ref.tobytes()
@@ -177,9 +177,8 @@ class TestStationarityChecks:
         # Regression guard: dropping the reversibility condition must be
         # caught by the detailed-balance check on path/cycle instances.
         g = generate(family, n=n)
-        P = build_transition_matrix(
-            g, ChainConfig(q=5, gamma=0.5), enforce_reversibility_condition=False
-        )
+        with without_condition_ii():
+            P = build_transition_matrix(g, ChainConfig(q=5, gamma=0.5))
         report = check_detailed_balance(P, StateSpace(g, 5))
         assert not report.passed
         assert report.max_error > 1e-6
@@ -191,9 +190,8 @@ class TestStationarityChecks:
         # even without the reversibility condition. The guard above must
         # therefore use non-complete instances.
         g = generate("complete", n=3)
-        P = build_transition_matrix(
-            g, ChainConfig(q=5, gamma=0.5), enforce_reversibility_condition=False
-        )
+        with without_condition_ii():
+            P = build_transition_matrix(g, ChainConfig(q=5, gamma=0.5))
         assert check_detailed_balance(P, StateSpace(g, 5)).max_error == 0.0
 
     def test_absorption_exact_zero(self):

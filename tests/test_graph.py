@@ -78,6 +78,20 @@ def test_generator_parameter_errors():
         generate("grid2d", rows=0, cols=3)
     with pytest.raises(ParameterError):
         generate("erdos_renyi", n=5, p="x")
+    # Sizes are integers, never truncated; a key the family does not take is named.
+    for params in ({"n": 5.5}, {"n": "5.5"}, {"n": 5.0}, {"n": None}):
+        with pytest.raises(ParameterError, match="parameter 'n' must be an integer"):
+            generate("cycle", **params)
+    with pytest.raises(ParameterError, match="parameter 'rows' must be an integer"):
+        generate("grid2d", rows=2.9, cols=3)
+    with pytest.raises(ParameterError, match="cycle takes no parameter 'p'"):
+        generate("cycle", n=5, p=0.3)
+    with pytest.raises(ParameterError, match="erdos_renyi takes no parameter 'P'"):
+        generate("erdos_renyi", n=5, P=0.1)
+    # Strings that spell a size or a probability are what the CLI passes.
+    assert generate("cycle", n="5").edges() == generate("cycle", n=5).edges()
+    spelled = generate("erdos_renyi", n="20", p="0.3", seed=2)
+    assert spelled.edges() == generate("erdos_renyi", n=20, p=0.3, seed=2).edges()
 
 
 def test_parse_basic_path():

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import pathlib
 import types
 
@@ -13,6 +14,34 @@ RETURN_TYPES = {
 }
 
 
+# The optional parameters of every exported function and class. An option
+# earns its place when two callers, tests and demos aside, set it to
+# different values; adding one is an edit of this table.
+OPTIONS = {
+    "contraction_experiment": ("pair_sampler", "burn_rounds", "check_lemmas"),
+    "sample_adjacent_pair": ("x",),
+    "ChainConfig": ("seed",),
+    "draw_round_randomness": ("rng",),
+    "run_chain": ("observe",),
+    "ParseError": ("line",),
+    "build_transition_matrix": ("entry_cap",),
+    "check_detailed_balance": ("tol",),
+    "check_row_stochastic": ("tol",),
+    "check_uniform_stationary": ("tol",),
+    "exact_mixing_time": ("max_rounds", "starts", "curve"),
+    "tv_curve": ("starts", "max_rounds", "stop_tv"),
+    "generate": ("seed",),
+}
+
+
+def _optional_parameters(obj) -> tuple:
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:  # an exception class that keeps Exception's own __init__
+        return ()
+    return tuple(p.name for p in params if p.default is not p.empty)
+
+
 def test_all_is_explicit_and_complete():
     public = {name for name, obj in vars(lg).items()
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
@@ -20,6 +49,18 @@ def test_all_is_explicit_and_complete():
     assert set(lg.__all__) == public
     assert not {"effective_proposal", "effective_proposals", "neighbors_inclusive"} & public
     assert not {"analysis", "coupling", "dynamics", "errors", "exact", "graph"} & set(lg.__all__)
+
+
+def test_exported_options_are_pinned():
+    found = {}
+    for name in lg.__all__:
+        obj = getattr(lg, name)
+        if callable(obj) and name != "ProposalMode":
+            options = _optional_parameters(obj)
+            if options:
+                found[name] = options
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 19
 
 
 def test_return_types_are_not_exported_but_importable():
