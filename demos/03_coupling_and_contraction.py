@@ -19,7 +19,7 @@ g = lg.generate("path", n=6)
 x = np.array([0, 2, 3, 1, 4, 2])
 y = x.copy()
 y[0] = 1
-pair = lg.AdjacentPair.make(x, y, v0=0)
+pair = lg.AdjacentPair(x, y, v0=0)
 print(f"pair differs at v0=0: red={pair.r}, blue={pair.b}")
 
 B, K = lg.classify_nodes(g, pair)
@@ -32,12 +32,11 @@ proposals, layers = lg.assign_coupled_proposals(g, pair, marked, draws)
 print(f"layers M: {[m.tolist() for m in layers.M]}")
 print(f"flipped F: {[f.tolist() for f in layers.F]}")
 for v in range(6):
-    mode = lg.ProposalMode(int(proposals.mode[v])).name.lower()
+    mode = "mirrored" if layers.depth[v] >= 1 else "consistent" if marked[v] else "unmarked"
     print(f"  node {v}: mode={mode:10s} cx={proposals.cx[v]} cy={proposals.cy[v]}")
 
-cfg = lg.ChainConfig(q=5, gamma=0.4, seed=0)
 rr = lg.RoundRandomness(marked=marked, proposal=draws)
-step = lg.coupled_step(g, pair, cfg, rr)
+step = lg.coupled_step(g, pair, rr)
 print(f"x' = {step.x_next.tolist()}")
 print(f"y' = {step.y_next.tolist()}")
 print(f"coupled distance phi = {lg.hamming_distance(step.x_next, step.y_next)}")

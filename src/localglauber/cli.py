@@ -191,6 +191,8 @@ def _build_graph(args) -> Graph:
                 k, v = (part.strip() for part in item.split("=", 1))
                 if k in ("family", "seed"):
                     raise ParameterError(f"--gen-args cannot set {k!r}; use --gen and --seed")
+                if k in params:
+                    raise ParameterError(f"--gen-args sets {k!r} twice")
                 params[k] = v
         return generate(args.gen, seed=_seed(args), **params)
     raise ParameterError("an instance is required: pass --graph FILE or --gen FAMILY")

@@ -22,7 +22,6 @@ two facts against a concrete coupled step and returns witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -39,67 +38,55 @@ class AdjacentPair:
     """Colorings x and y that agree everywhere except node v0.
 
     r = x[v0] and b = y[v0] are the "red" and "blue" colors of the
-    construction; they must differ. The pair is checked once, on
-    construction.
+    construction. The pair is checked once, on construction.
     """
 
     x: np.ndarray
     y: np.ndarray
     v0: int
-    r: int
-    b: int
-
-    @classmethod
-    def make(cls, x: np.ndarray, y: np.ndarray, v0: int) -> "AdjacentPair":
-        return cls(
-            x=np.asarray(x, dtype=np.int64),
-            y=np.asarray(y, dtype=np.int64),
-            v0=int(v0),
-            r=int(x[v0]),
-            b=int(y[v0]),
-        )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.int64))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.int64))
+        object.__setattr__(self, "v0", int(self.v0))
         if self.x.shape != self.y.shape:
             raise ValidationError("x and y have different lengths")
         diff = np.flatnonzero(self.x != self.y)
         if len(diff) != 1 or diff[0] != self.v0:
             raise ValidationError(f"pair must differ exactly at v0={self.v0}, differs at {diff.tolist()}")
-        if self.r == self.b:
-            raise ValidationError("r and b must differ")
-        if self.x[self.v0] != self.r or self.y[self.v0] != self.b:
-            raise ValidationError("r/b out of sync with the colorings at v0")
 
+    @property
+    def r(self) -> int:
+        return int(self.x[self.v0])
 
-class ProposalMode(IntEnum):
-    UNMARKED = 0
-    CONSISTENT = 1
-    MIRRORED = 2
+    @property
+    def b(self) -> int:
+        return int(self.y[self.v0])
 
 
 @dataclass(frozen=True)
 class ProposalPair:
-    """Per-node effective proposals of both chains plus the sampling mode."""
+    """Per-node effective proposals of both chains."""
 
     cx: np.ndarray
     cy: np.ndarray
-    mode: np.ndarray
 
 
 @dataclass(frozen=True)
 class CouplingLayers:
     """Derived node masks of one coupled round.
 
-    B: nodes other than v0 currently colored r or b.
-    K: inclusive neighborhood of B, minus v0 (B is a subset of K).
+    K: closed neighborhood of the nodes other than v0 colored r or b,
+        minus v0 (see classify_nodes).
     S: marked nodes outside K, v0 excluded.
     depth: breadth-first layer of each node, -1 when not layered; v0 alone
         has depth 0, whether or not it is marked.
     flipped: layered nodes whose proposals came out flipped, plus v0.
     M[d]/F[d] are the node indices of layer d and of its flipped subset.
+    A node samples mirroredly exactly when its depth is >= 1; other marked
+    nodes sample consistently.
     """
 
-    B: np.ndarray
     K: np.ndarray
     S: np.ndarray
     depth: np.ndarray
@@ -132,9 +119,9 @@ def assign_coupled_proposals(
 ):
     """Breadth-first assignment of coupled proposals; returns (ProposalPair, CouplingLayers).
 
-    `draws` holds one uniform color per node (used only where marked); the
-    mode merely reinterprets the draw, which keeps each chain's marginal
-    uniform. Layer d+1 collects the not-yet-layered marked nodes of S that
+    `draws` holds one uniform color per node (used only where marked); a
+    mirrored node merely reinterprets its draw, which keeps each chain's
+    marginal uniform. Layer d+1 collects the not-yet-layered marked nodes of S that
     neighbor a flipped node of layer d.
     """
     n = g.node_count
@@ -142,17 +129,16 @@ def assign_coupled_proposals(
     marked = np.asarray(marked, dtype=bool)
     draws = np.asarray(draws, dtype=np.int64)
 
-    B, K = classify_nodes(g, pair)
+    _, K = classify_nodes(g, pair)
     S = marked & ~K
     S[v0] = False
 
     # Defaults: unmarked nodes effectively propose their current colors
     # (which differ at v0 when v0 is unmarked); marked nodes sample
-    # consistently unless a layer reassigns them to mirrored mode, where
-    # X keeps the draw and Y swaps a draw of r or b for the other.
+    # consistently unless a layer makes them mirrored, where X keeps the
+    # draw and Y swaps a draw of r or b for the other.
     cx = np.where(marked, draws, pair.x)
     cy = np.where(marked, draws, pair.y)
-    mode = np.where(marked, ProposalMode.CONSISTENT, ProposalMode.UNMARKED).astype(np.int8)
 
     depth = np.full(n, -1, dtype=np.int64)
     depth[v0] = 0
@@ -167,13 +153,12 @@ def assign_coupled_proposals(
         if not layer.any():
             break
         depth[layer] = d
-        mode[layer] = ProposalMode.MIRRORED
         front = layer & red_blue
         flipped |= front
         cy[front] = np.where(draws[front] == r, b, r)
 
-    layers = CouplingLayers(B=B, K=K, S=S, depth=depth, flipped=flipped)
-    return ProposalPair(cx=cx, cy=cy, mode=mode), layers
+    layers = CouplingLayers(K=K, S=S, depth=depth, flipped=flipped)
+    return ProposalPair(cx=cx, cy=cy), layers
 
 
 @dataclass(frozen=True)
@@ -184,10 +169,8 @@ class CoupledStep:
     layers: CouplingLayers
 
 
-def coupled_step(g: Graph, pair: AdjacentPair, cfg: ChainConfig, rr: RoundRandomness) -> CoupledStep:
+def coupled_step(g: Graph, pair: AdjacentPair, rr: RoundRandomness) -> CoupledStep:
     """One coupled round: shared marks, coupled proposals, the usual acceptance rule per chain."""
-    if cfg.q < 2:
-        raise ParameterError("coupling needs q >= 2 (two colors must differ at v0)")
     proposals, layers = assign_coupled_proposals(g, pair, rr.marked, rr.proposal)
     x_next, _ = apply_proposals(g, pair.x, rr.marked, proposals.cx)
     y_next, _ = apply_proposals(g, pair.y, rr.marked, proposals.cy)
@@ -313,14 +296,17 @@ PAIR_SAMPLERS = ("uniform_random", "proper_random")
 
 
 def sample_adjacent_pair(g: Graph, q: int, rng: np.random.Generator, x: np.ndarray | None = None) -> AdjacentPair:
-    """Draw an adjacent pair around X: a uniform coloring when x is None, then v0 and Y's color there."""
+    """Draw an adjacent pair around X: a uniform coloring when x is None, then v0 and Y's color there.
+
+    Needs q >= 2, which contraction_experiment checks before its first trial.
+    """
     if x is None:
         x = rng.integers(0, q, size=g.node_count, dtype=np.int64)
     v0 = int(rng.integers(g.node_count))
     y = np.array(x)
     shift = 1 + int(rng.integers(q - 1))
     y[v0] = (x[v0] + shift) % q
-    return AdjacentPair.make(x, y, v0)
+    return AdjacentPair(x, y, v0)
 
 
 def contraction_experiment(
@@ -366,7 +352,7 @@ def contraction_experiment(
             burn_cfg = ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
             x = run_chain(g, burn_cfg, start, burn_rounds)
         pair = sample_adjacent_pair(g, cfg.q, rng, x)
-        step = coupled_step(g, pair, cfg, _marks_then_proposals(rng, cfg, g.node_count))
+        step = coupled_step(g, pair, _marks_then_proposals(rng, cfg, g.node_count))
         phi = hamming_distance(step.x_next, step.y_next)
         total += phi
         total_sq += phi * phi

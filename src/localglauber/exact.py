@@ -46,7 +46,7 @@ class StateSpace:
         # states[s, v] = color of node v in the coloring with index s
         idx = np.arange(self.size, dtype=np.int64)
         self.states = (idx[:, None] // self.q_powers[None, :]) % q
-        self.states = self.states.astype(np.int16)
+        self.states = self.states.astype(np.min_scalar_type(q - 1))
         self.proper_mask = np.ones(self.size, dtype=bool)
         for u, v in graph.edges():
             self.proper_mask &= self.states[:, u] != self.states[:, v]
@@ -311,10 +311,11 @@ def tv_curve(
 
 @dataclass
 class MixingResult:
-    eps: float
     rounds: int | None            # None when max_rounds was exceeded
-    exceeded: bool
-    curve: TVCurve
+
+    @property
+    def exceeded(self) -> bool:
+        return self.rounds is None
 
 
 def exact_mixing_time(
@@ -322,7 +323,6 @@ def exact_mixing_time(
     space: StateSpace,
     eps: float,
     max_rounds: int = 10_000,
-    starts=None,
     curve: TVCurve | None = None,
 ) -> MixingResult:
     """Smallest t with max-over-starts TV(sigma P^t, uniform-proper) <= eps.
@@ -333,11 +333,9 @@ def exact_mixing_time(
     if not 0.0 < eps:
         raise ParameterError(f"eps must be positive, got {eps}")
     if curve is None:
-        curve = tv_curve(P, space, starts=starts, max_rounds=max_rounds, stop_tv=eps)
+        curve = tv_curve(P, space, max_rounds=max_rounds, stop_tv=eps)
     hit = np.flatnonzero(curve.max_tv <= eps)
-    if len(hit) == 0:
-        return MixingResult(eps=eps, rounds=None, exceeded=True, curve=curve)
-    return MixingResult(eps=eps, rounds=int(hit[0]), exceeded=False, curve=curve)
+    return MixingResult(rounds=int(hit[0]) if len(hit) else None)
 
 
 def improper_mass_curve(P: np.ndarray, space: StateSpace, start_index: int, rounds: int) -> np.ndarray:

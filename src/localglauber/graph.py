@@ -154,8 +154,10 @@ def generate(family: str, seed: int = 0, **params) -> Graph:
         _check_cap(n * (n - 1) // 2, "node pairs")
         u, v = np.triu_indices(n, 1)
     else:
+        if "p" not in params:
+            raise ParameterError("missing parameter 'p'")
         try:
-            p = float(params.get("p", -1.0))
+            p = float(params["p"])
         except (TypeError, ValueError):
             raise ParameterError(f"erdos_renyi needs a number p, got {params['p']!r}") from None
         if not 0.0 <= p <= 1.0:

@@ -191,14 +191,16 @@ def reference_classify_nodes(g, pair):
     return B, K
 
 
+# Sampling modes of the coupled proposals, as the reference below labels them.
+UNMARKED, CONSISTENT, MIRRORED = 0, 1, 2
+
+
 def reference_assign_coupled_proposals(g, pair, marked, draws):
     """The set-based `assign_coupled_proposals` the frontier-mask one replaced.
 
     Returns ((cx, cy, mode), (B, K, S, M, F)) with B, K, S sets and M, F
     tuples of frozensets, M[0] = F[0] = {v0}.
     """
-    from localglauber import ProposalMode
-
     adjacency = neighbor_lists(g)
     n = g.node_count
     v0, r, b = pair.v0, pair.r, pair.b
@@ -210,7 +212,7 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
 
     cx = np.where(marked, draws, pair.x)
     cy = np.where(marked, draws, pair.y)
-    mode = np.where(marked, ProposalMode.CONSISTENT, ProposalMode.UNMARKED).astype(np.int8)
+    mode = np.where(marked, CONSISTENT, UNMARKED).astype(np.int8)
 
     M = [frozenset({v0})]
     F = [frozenset({v0})]
@@ -224,7 +226,7 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
             break
         flipped = set()
         for v in nxt:
-            mode[v] = ProposalMode.MIRRORED
+            mode[v] = MIRRORED
             c = int(draws[v])
             if c == r:
                 cx[v], cy[v] = r, b

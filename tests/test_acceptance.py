@@ -145,11 +145,11 @@ def test_criterion_4_coupling_marginal_validity(gamma_star_25):
     for trial in range(trials):
         key = np.array([cfg.seed & mask64, trial], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        pair = lg.sample_adjacent_pair(g, q, rng)
+        pair = lg.coupling.sample_adjacent_pair(g, q, rng)
         rr = lg.RoundRandomness(
             marked=rng.random(8) < cfg.gamma, proposal=rng.integers(0, q, 8)
         )
-        step = lg.coupled_step(g, pair, cfg, rr)
+        step = lg.coupled_step(g, pair, rr)
         m = rr.marked
         cx_counts += np.bincount(step.proposals.cx[m], minlength=q)
         cy_counts += np.bincount(step.proposals.cy[m], minlength=q)
@@ -166,7 +166,7 @@ def test_criterion_4_coupling_marginal_validity(gamma_star_25):
     P = lg.build_transition_matrix(g3, lg.ChainConfig(q=q3, gamma=gamma3))
     x = np.array([0, 1, 2])
     y = np.array([3, 1, 2])
-    pair = lg.AdjacentPair.make(x, y, 0)
+    pair = lg.AdjacentPair(x, y, 0)
     cfg3 = lg.ChainConfig(q=q3, gamma=gamma3, seed=5)
     counts_x = np.zeros(space.size)
     counts_y = np.zeros(space.size)
@@ -176,7 +176,7 @@ def test_criterion_4_coupling_marginal_validity(gamma_star_25):
         rr = lg.RoundRandomness(
             marked=rng.random(3) < gamma3, proposal=rng.integers(0, q3, 3)
         )
-        step = lg.coupled_step(g3, pair, cfg3, rr)
+        step = lg.coupled_step(g3, pair, rr)
         counts_x[space.index_of(step.x_next)] += 1
         counts_y[space.index_of(step.y_next)] += 1
     max_sigmas = 0.0

@@ -371,10 +371,12 @@ class TestConfigAndDeterminism:
         ("cycle", "n=5,p=0.3", "cycle takes no parameter 'p'"),
         ("erdos_renyi", "n=5,P=0.1", "erdos_renyi takes no parameter 'P'"),
         ("cycle", "n=5,seed=3", "--gen-args cannot set 'seed'"),
-    ], ids=["float-size", "float-rows", "foreign-key", "typo", "seed"])
+        ("cycle", "n=5,n=7", "--gen-args sets 'n' twice"),
+    ], ids=["float-size", "float-rows", "foreign-key", "typo", "seed", "repeated-key"])
     def test_bad_generator_parameters_are_usage_errors(self, capsys, gen, gen_args, message):
         # Sizes used to be truncated and unknown keys dropped, with exit 0;
-        # seed ended in a TypeError traceback.
+        # seed ended in a TypeError traceback; a repeated key overwrote the
+        # earlier one.
         assert run("sample", "--gen", gen, "--gen-args", gen_args, "--q", "5", "--gamma", "0.3",
                    "--rounds", "1") == 1
         captured = capsys.readouterr()

@@ -9,7 +9,6 @@ from localglauber import (
     ChainConfig,
     Graph,
     ParameterError,
-    ProposalMode,
     RoundRandomness,
     ValidationError,
     apply_proposals,
@@ -21,17 +20,22 @@ from localglauber import (
     generate,
     hamming_distance,
     optimize_gamma,
-    sample_adjacent_pair,
 )
+from localglauber.coupling import sample_adjacent_pair
 
-from helpers import reference_assign_coupled_proposals, reference_classify_nodes
+from helpers import CONSISTENT, MIRRORED, UNMARKED, reference_assign_coupled_proposals, reference_classify_nodes
 
 
 def make_pair(x, v0, new_color):
     x = np.asarray(x, dtype=np.int64)
     y = x.copy()
     y[v0] = new_color
-    return AdjacentPair.make(x, y, v0)
+    return AdjacentPair(x, y, v0)
+
+
+def mode_of(marked, layers):
+    """Each node's sampling mode, derived from its mark and its layer depth."""
+    return np.where(layers.depth >= 1, MIRRORED, np.where(marked, CONSISTENT, UNMARKED))
 
 
 def rr(marked, proposal):
@@ -44,17 +48,11 @@ def rr(marked, proposal):
 class TestAdjacentPair:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            AdjacentPair.make([0, 1], [0, 1], 0)  # no difference
+            AdjacentPair([0, 1], [0, 1], 0)  # no difference
         with pytest.raises(ValidationError):
-            AdjacentPair.make([0, 1], [1, 0], 0)  # differs at two nodes
+            AdjacentPair([0, 1], [1, 0], 0)  # differs at two nodes
         pair = make_pair([0, 2, 2], 0, 1)
         assert pair.r == 0 and pair.b == 1
-
-    def test_direct_construction_checks_r_b(self):
-        x = np.array([0, 2, 2])
-        y = np.array([1, 2, 2])
-        with pytest.raises(ValidationError):
-            AdjacentPair(x=x, y=y, v0=0, r=1, b=0)
 
 
 class TestClassifyNodes:
@@ -83,10 +81,11 @@ class TestAssignCoupledProposals:
     def test_no_marks_layers_stop_at_m0(self):
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
-        prop, layers = assign_coupled_proposals(g, pair, [False] * 5, [0] * 5)
+        marked = [False] * 5
+        prop, layers = assign_coupled_proposals(g, pair, marked, [0] * 5)
         assert [set(m) for m in layers.M] == [{0}]
         assert [set(f) for f in layers.F] == [{0}]
-        assert np.all(prop.mode == ProposalMode.UNMARKED)
+        assert np.all(mode_of(marked, layers) == UNMARKED)
         # effective proposals: current colors, which differ at v0 only
         assert prop.cx[0] == 0 and prop.cy[0] == 1
         assert np.array_equal(prop.cx[1:], prop.cy[1:])
@@ -94,8 +93,9 @@ class TestAssignCoupledProposals:
     def test_marked_v0_samples_consistently(self):
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
-        prop, _ = assign_coupled_proposals(g, pair, [True] + [False] * 4, [4] * 5)
-        assert prop.mode[0] == ProposalMode.CONSISTENT
+        marked = [True] + [False] * 4
+        prop, layers = assign_coupled_proposals(g, pair, marked, [4] * 5)
+        assert mode_of(marked, layers)[0] == CONSISTENT
         assert prop.cx[0] == prop.cy[0] == 4
 
     def test_neighbor_drawing_red_flips(self):
@@ -104,7 +104,7 @@ class TestAssignCoupledProposals:
         marked = [False, True, False, False, False]
         prop, layers = assign_coupled_proposals(g, pair, marked, [0, 0, 0, 0, 0])
         assert set(layers.M[1]) == {1} and set(layers.F[1]) == {1}
-        assert prop.mode[1] == ProposalMode.MIRRORED
+        assert mode_of(marked, layers)[1] == MIRRORED
         assert prop.cx[1] == 0 and prop.cy[1] == 1  # draw r -> (r, b)
 
     def test_neighbor_drawing_other_color_stays_consistent_and_stops(self):
@@ -115,9 +115,9 @@ class TestAssignCoupledProposals:
         assert set(layers.M[1]) == {1}
         assert set(layers.F[1]) == set()
         assert len(layers.M) == 2  # no layer beyond M^1
-        assert prop.mode[1] == ProposalMode.MIRRORED
+        assert mode_of(marked, layers)[1] == MIRRORED
         assert prop.cx[1] == prop.cy[1] == 3
-        assert prop.mode[2] == ProposalMode.CONSISTENT  # marked node 2 never layered
+        assert mode_of(marked, layers)[2] == CONSISTENT  # marked node 2 never layered
 
     def test_breadth_first_skips_unflipped_branches(self):
         # Two routes from v0=0: a direct 3-hop path (via 1, 2) and a 4-hop
@@ -149,7 +149,7 @@ class TestAssignCoupledProposals:
             flipped = prop.cx != prop.cy
             flipped[pair.v0] = False
             # flipped only from mirrored sampling, always an r/b pair
-            assert np.all(prop.mode[flipped] == ProposalMode.MIRRORED)
+            assert np.all(mode_of(marked, layers)[flipped] == MIRRORED)
             assert np.all(np.minimum(prop.cx, prop.cy)[flipped] == min(pair.r, pair.b))
             assert np.all(np.maximum(prop.cx, prop.cy)[flipped] == max(pair.r, pair.b))
             # F[d] within M[d]; M[d] within S and next to F[d-1], for d >= 1
@@ -160,7 +160,7 @@ class TestAssignCoupledProposals:
             hop = layers.flipped[src] & (layers.depth[src] == layers.depth[dst] - 1)
             assert np.all(np.isin(np.flatnonzero(layered), dst[hop]))
             # consistently sampled S-nodes never neighbor a flipped node
-            consistent = layers.S & (prop.mode == ProposalMode.CONSISTENT)
+            consistent = layers.S & (mode_of(marked, layers) == CONSISTENT)
             assert not consistent[dst[layers.flipped[src]]].any()
 
 
@@ -186,27 +186,27 @@ def test_layers_match_set_based_reference(n, p, graph_seed, seed, q, marks):
     assert (set(np.flatnonzero(B).tolist()), set(np.flatnonzero(K).tolist())) == reference_classify_nodes(g, pair)
     prop, layers = assign_coupled_proposals(g, pair, marked, draws)
     (cx, cy, mode), (ref_B, ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(g, pair, marked, draws)
-    assert set(np.flatnonzero(layers.B).tolist()) == ref_B
+    assert set(np.flatnonzero(B).tolist()) == ref_B
     assert set(np.flatnonzero(layers.K).tolist()) == ref_K
     assert set(np.flatnonzero(layers.S).tolist()) == ref_S
     assert [set(m.tolist()) for m in layers.M] == [set(m) for m in ref_M]
     assert [set(f.tolist()) for f in layers.F] == [set(f) for f in ref_F]
     assert np.array_equal(prop.cx, cx) and np.array_equal(prop.cy, cy)
-    assert np.array_equal(prop.mode, mode)
+    assert np.array_equal(mode_of(marked, layers), mode)
 
 
 class TestCoupledStep:
     def test_no_marks_still_differ_at_v0_only(self):
         g = generate("cycle", n=6)
         pair = make_pair([0, 2, 3, 4, 3, 2], 0, 1)
-        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.2), rr([False] * 6, [0] * 6))
+        step = coupled_step(g, pair, rr([False] * 6, [0] * 6))
         assert hamming_distance(step.x_next, step.y_next) == 1
         assert step.x_next[0] != step.y_next[0]
 
     def test_v0_accepting_fresh_color_coalesces(self):
         g = generate("cycle", n=4)
         pair = make_pair([0, 2, 3, 2], 0, 1)
-        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.5), rr([True, False, False, False], [4, 0, 0, 0]))
+        step = coupled_step(g, pair, rr([True, False, False, False], [4, 0, 0, 0]))
         assert step.x_next[0] == step.y_next[0] == 4
         assert hamming_distance(step.x_next, step.y_next) == 0
 
@@ -217,7 +217,7 @@ class TestCoupledStep:
             q = 5
             pair = sample_adjacent_pair(g, q, rng)
             randomness = rr(rng.random(10) < 0.4, rng.integers(0, q, 10))
-            step = coupled_step(g, pair, ChainConfig(q=q, gamma=0.4), randomness)
+            step = coupled_step(g, pair, randomness)
             x_next = apply_proposals(g, pair.x, randomness.marked, randomness.proposal)[0]
             assert np.array_equal(step.x_next, x_next)
 
@@ -228,7 +228,7 @@ class TestCoupledStep:
             q = 5
             pair = sample_adjacent_pair(g, q, rng)
             randomness = rr(rng.random(10) < 0.4, rng.integers(0, q, 10))
-            step = coupled_step(g, pair, ChainConfig(q=q, gamma=0.4), randomness)
+            step = coupled_step(g, pair, randomness)
             mirrored = apply_proposals(g, pair.y, randomness.marked, step.proposals.cy)[0]
             assert np.array_equal(step.y_next, mirrored)
 
@@ -242,7 +242,7 @@ class TestCoupledStep:
         for _ in range(4000):
             pair = sample_adjacent_pair(g, q, rng)
             randomness = rr(rng.random(8) < cfg.gamma, rng.integers(0, q, 8))
-            step = coupled_step(g, pair, cfg, randomness)
+            step = coupled_step(g, pair, randomness)
             m = randomness.marked
             cx_counts += np.bincount(step.proposals.cx[m], minlength=q)
             cy_counts += np.bincount(step.proposals.cy[m], minlength=q)
@@ -254,7 +254,7 @@ class TestLemmaCheckers:
     def test_vacuous_pass_when_only_v0_differs(self):
         g = generate("cycle", n=6)
         pair = make_pair([0, 2, 3, 4, 3, 2], 0, 1)
-        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.2), rr([False] * 6, [0] * 6))
+        step = coupled_step(g, pair, rr([False] * 6, [0] * 6))
         report = check_flip_path_lemmas(g, pair, step.layers, step.proposals, step.x_next, step.y_next)
         assert report.passed and report.differing_nodes == []
 
@@ -264,7 +264,7 @@ class TestLemmaCheckers:
         g = generate("path", n=3)
         pair = make_pair([0, 2, 3], 0, 1)
         randomness = rr([False, True, True], [0, 1, 0])
-        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.5), randomness)
+        step = coupled_step(g, pair, randomness)
         assert step.x_next.tolist() == [0, 1, 0]
         assert step.y_next.tolist() == [1, 0, 1]
         report = check_flip_path_lemmas(g, pair, step.layers, step.proposals, step.x_next, step.y_next)
@@ -282,7 +282,7 @@ class TestLemmaCheckers:
         # claim it does must be reported, not certified.
         g = generate("path", n=3)
         pair = make_pair([0, 2, 3], 0, 1)
-        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.5), rr([False, True, True], draws))
+        step = coupled_step(g, pair, rr([False, True, True], draws))
         assert step.layers.flipped[node] and step.layers.depth[node] == node
         report = check_flip_path_lemmas(g, pair, step.layers, step.proposals, np.array(x_next), np.array(y_next))
         assert [v.node for v in report.violations] == [node]
@@ -295,7 +295,7 @@ class TestLemmaCheckers:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         pair = make_pair([0, 2, 3, 1], 0, 1)
         randomness = rr([False, True, True, False], [0, 0, 0, 0])
-        step = coupled_step(g, pair, ChainConfig(q=5, gamma=0.5), randomness)
+        step = coupled_step(g, pair, randomness)
         report = check_flip_path_lemmas(g, pair, step.layers, step.proposals, step.x_next, step.y_next)
         assert report.passed
         assert report.witnesses[2] == (0, 1, 2)

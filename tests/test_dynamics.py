@@ -13,7 +13,6 @@ from localglauber import (
     ParameterError,
     ValidationError,
     apply_proposals,
-    draw_round_randomness,
     enumerate_proper_colorings,
     generate,
     greedy_coloring,
@@ -26,7 +25,7 @@ from localglauber import (
 )
 
 from localglauber._stream import stream
-from localglauber.dynamics import _PROPER_BLOCK
+from localglauber.dynamics import _PROPER_BLOCK, draw_round_randomness
 
 from helpers import random_graph_and_coloring, reference_round, without_condition_ii
 

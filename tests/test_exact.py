@@ -23,18 +23,17 @@ from localglauber import (
     check_row_stochastic,
     check_uniform_stationary,
     cycle_automorphisms,
-    draw_round_randomness,
     enumerate_proper_colorings,
     exact_mixing_time,
     generate,
     improper_mass_curve,
     optimize_gamma,
-    stationary_uniform,
     symmetry_reduced_starts,
     tv_curve,
 )
 from localglauber import exact
-from localglauber.dynamics import apply_proposals
+from localglauber.dynamics import apply_proposals, draw_round_randomness
+from localglauber.exact import stationary_uniform
 
 from helpers import (
     address_space_limit, reference_build_transition_matrix, reference_symmetry_reduced_starts, without_condition_ii,
@@ -67,6 +66,20 @@ class TestEnumeration:
         for idx in (0, 17, 80, 42):
             assert space.index_of(space.coloring_of(idx)) == idx
         assert space.index_of([0, 0, 0, 0]) == 0
+
+    def test_colors_above_int16_survive_the_table(self):
+        # The state table once held colors as int16, which wrapped q - 1 = 39999 to -25537.
+        q = 40_000
+        colorings, count = enumerate_proper_colorings(Graph(1, []), q)
+        assert count == q and colorings.min() == 0 and colorings.max() == q - 1
+        space = StateSpace(Graph(2, [(0, 1)]), 200)
+        assert space.states.min() == 0 and space.states.max() == 199
+        for idx in (0, 199, 200 * 199 + 198, space.size - 1):
+            assert space.index_of(space.coloring_of(idx)) == idx
+        space = StateSpace(Graph(1, []), q)
+        for idx in (0, 32_767, 32_768, q - 1):
+            assert space.coloring_of(idx).tolist() == [idx]
+            assert space.index_of(space.coloring_of(idx)) == idx
 
 
 class TestTransitionMatrix:

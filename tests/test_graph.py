@@ -88,6 +88,8 @@ def test_generator_parameter_errors():
         generate("cycle", n=5, p=0.3)
     with pytest.raises(ParameterError, match="erdos_renyi takes no parameter 'P'"):
         generate("erdos_renyi", n=5, P=0.1)
+    with pytest.raises(ParameterError, match="missing parameter 'p'"):
+        generate("erdos_renyi", n=5)
     # Strings that spell a size or a probability are what the CLI passes.
     assert generate("cycle", n="5").edges() == generate("cycle", n=5).edges()
     spelled = generate("erdos_renyi", n="20", p="0.3", seed=2)
