@@ -47,8 +47,8 @@ EXIT_CHECK_FAILED = 4
 
 # Work budgets, checked before a run starts. On a 2-core machine a round
 # updates ~4-9 million nodes/s, so 2^32 node-rounds take 8-16 minutes; a
-# coupled trial costs 3.6-18 us per node (ER(50) to C8), so 2^27 node-trials
-# take 8-40 minutes.
+# coupled trial costs 0.1-3.3 us per node (a 10^5-node grid to C8), so 2^27
+# node-trials take 0.2-8 minutes.
 _NODE_ROUND_BUDGET = 2 ** 32
 _NODE_TRIAL_BUDGET = 2 ** 27
 

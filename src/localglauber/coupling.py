@@ -21,7 +21,7 @@ two facts against a concrete coupled step and returns witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .dynamics import (
     ChainConfig, RoundRandomness, _marks_then_proposals, apply_proposals, greedy_coloring, run_chain,
 )
 from .errors import ParameterError, ValidationError
-from .graph import Graph, _neighbors
+from .graph import Graph, _copies, _neighbors
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,7 @@ class CouplingLayers:
 
 def classify_nodes(g: Graph, pair: AdjacentPair):
     """Masks B (red/blue-colored nodes except v0) and K (their closed neighborhood minus v0)."""
-    B = (pair.x == pair.r) | (pair.x == pair.b)
-    B[pair.v0] = False
-    K = B.copy()
-    K[g.edge_dst[B[g.edge_src]]] = True
-    K[pair.v0] = False
-    return B, K
+    return _classify(g, pair.x, pair.y, [pair.v0])
 
 
 def assign_coupled_proposals(
@@ -124,41 +119,7 @@ def assign_coupled_proposals(
     marginal uniform. Layer d+1 collects the not-yet-layered marked nodes of S that
     neighbor a flipped node of layer d.
     """
-    n = g.node_count
-    v0, r, b = pair.v0, pair.r, pair.b
-    marked = np.asarray(marked, dtype=bool)
-    draws = np.asarray(draws, dtype=np.int64)
-
-    _, K = classify_nodes(g, pair)
-    S = marked & ~K
-    S[v0] = False
-
-    # Defaults: unmarked nodes effectively propose their current colors
-    # (which differ at v0 when v0 is unmarked); marked nodes sample
-    # consistently unless a layer makes them mirrored, where X keeps the
-    # draw and Y swaps a draw of r or b for the other.
-    cx = np.where(marked, draws, pair.x)
-    cy = np.where(marked, draws, pair.y)
-
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[v0] = 0
-    flipped = np.zeros(n, dtype=bool)
-    flipped[v0] = True
-    front = flipped.copy()
-    red_blue = (draws == r) | (draws == b)
-    for d in range(1, n):
-        reach = np.zeros(n, dtype=bool)
-        reach[g.edge_dst[front[g.edge_src]]] = True
-        layer = reach & S & (depth < 0)
-        if not layer.any():
-            break
-        depth[layer] = d
-        front = layer & red_blue
-        flipped |= front
-        cy[front] = np.where(draws[front] == r, b, r)
-
-    layers = CouplingLayers(K=K, S=S, depth=depth, flipped=flipped)
-    return ProposalPair(cx=cx, cy=cy), layers
+    return _assign(g, pair.x, pair.y, [pair.v0], marked, draws)
 
 
 @dataclass(frozen=True)
@@ -171,10 +132,82 @@ class CoupledStep:
 
 def coupled_step(g: Graph, pair: AdjacentPair, rr: RoundRandomness) -> CoupledStep:
     """One coupled round: shared marks, coupled proposals, the usual acceptance rule per chain."""
-    proposals, layers = assign_coupled_proposals(g, pair, rr.marked, rr.proposal)
-    x_next, _ = apply_proposals(g, pair.x, rr.marked, proposals.cx)
-    y_next, _ = apply_proposals(g, pair.y, rr.marked, proposals.cy)
+    return _couple(g, pair.x, pair.y, [pair.v0], rr.marked, rr.proposal)
+
+
+# The functions above are one-pair calls of the three below, which take
+# several pairs at once. Pair i then lives on copy i of the graph inside g
+# (see graph._copies): x and y hold every copy's colorings end to end, and
+# v0[i] is the index of pair i's v0 there. Copies share no edge, so each
+# pair sees only its own nodes, and all pairs go through each numpy call
+# together.
+
+def _is_red_or_blue(colors, r, b):
+    """Per node, whether `colors` there is r or b of the node's own pair (r and b hold one color per pair)."""
+    per_pair = colors.reshape(len(r), -1)
+    return ((per_pair == r[:, None]) | (per_pair == b[:, None])).ravel()
+
+
+def _classify(g: Graph, x, y, v0):
+    B = _is_red_or_blue(x, x[v0], y[v0])
+    B[v0] = False
+    K = B.copy()
+    K[g.edge_dst[B[g.edge_src]]] = True
+    K[v0] = False
+    return B, K
+
+
+def _assign(g: Graph, x, y, v0, marked, draws):
+    marked = np.asarray(marked, dtype=bool)
+    draws = np.asarray(draws, dtype=np.int64)
+    r, b = x[v0], y[v0]
+    n = len(x) // len(r)
+
+    _, K = _classify(g, x, y, v0)
+    S = marked & ~K
+    S[v0] = False
+
+    # Defaults: unmarked nodes effectively propose their current colors
+    # (which differ at v0 when v0 is unmarked); marked nodes sample
+    # consistently unless a layer makes them mirrored, where X keeps the
+    # draw and Y swaps a draw of r or b for the other.
+    cx = np.where(marked, draws, x)
+    cy = np.where(marked, draws, y)
+
+    # The layers of all pairs grow together, until no pair gains a node.
+    depth = np.full(len(x), -1, dtype=np.int64)
+    depth[v0] = 0
+    flipped = np.zeros(len(x), dtype=bool)
+    flipped[v0] = True
+    front = flipped.copy()
+    red_blue = _is_red_or_blue(draws, r, b)
+    for d in range(1, len(x)):
+        reach = np.zeros(len(x), dtype=bool)
+        reach[g.edge_dst[front[g.edge_src]]] = True
+        layer = reach & S & (depth < 0)
+        if not layer.any():
+            break
+        depth[layer] = d
+        front = layer & red_blue
+        flipped |= front
+        at = np.flatnonzero(front)
+        owner = at // n
+        cy[at] = np.where(draws[at] == r[owner], b[owner], r[owner])
+
+    layers = CouplingLayers(K=K, S=S, depth=depth, flipped=flipped)
+    return ProposalPair(cx=cx, cy=cy), layers
+
+
+def _couple(g: Graph, x, y, v0, marked, draws) -> CoupledStep:
+    proposals, layers = _assign(g, x, y, v0, marked, draws)
+    x_next, _ = apply_proposals(g, x, marked, proposals.cx)
+    y_next, _ = apply_proposals(g, y, marked, proposals.cy)
     return CoupledStep(x_next=x_next, y_next=y_next, proposals=proposals, layers=layers)
+
+
+def _pair_of(block, i: int, n: int):
+    """Pair i's slice of a ProposalPair or CouplingLayers of several pairs."""
+    return type(block)(**{f.name: getattr(block, f.name)[i * n:(i + 1) * n] for f in fields(block)})
 
 
 def hamming_distance(x: np.ndarray, y: np.ndarray) -> int:
@@ -294,6 +327,16 @@ class ContractionEstimate:
 
 PAIR_SAMPLERS = ("uniform_random", "proper_random")
 
+# contraction_experiment runs the coupled round on blocks of trials whose
+# (trials x directed edges) and (trials x nodes) arrays hold about this many
+# entries each: 45 trials on ER(50, 0.08), 512 on C8, one on a 10^5-node
+# grid. Larger blocks save little time and raise the peak memory.
+_BLOCK_ENTRIES = 1 << 13
+
+
+def _trials_per_block(g: Graph) -> int:
+    return max(1, _BLOCK_ENTRIES // max(g.node_count, len(g.edge_src)))
+
 
 def sample_adjacent_pair(g: Graph, q: int, rng: np.random.Generator, x: np.ndarray | None = None) -> AdjacentPair:
     """Draw an adjacent pair around X: a uniform coloring when x is None, then v0 and Y's color there.
@@ -326,6 +369,11 @@ def contraction_experiment(
     order independent. One generator is re-keyed per trial; a proper_random
     burn-in draws its seed from the trial's stream and runs its own chain,
     which owns its own generator.
+
+    Each trial draws its pair, then its marks and proposals, one trial at a
+    time; the coupled round then runs once for a block of trials (see
+    _BLOCK_ENTRIES). With check_lemmas, only the trials whose chains differ
+    at a node other than v0 go to check_flip_path_lemmas.
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
@@ -340,27 +388,40 @@ def contraction_experiment(
         start = greedy_coloring(g, cfg.q)
     if trials == 0:
         return ContractionEstimate(trials=0, mean=float("nan"), stderr=float("nan"), max_phi=0, lemma_failures=0)
-    total = 0.0
-    total_sq = 0.0
+    n = g.node_count
+    block = _trials_per_block(g)
+    total = 0
+    total_sq = 0
     max_phi = 0
     lemma_failures = 0
     rng = None
-    for trial in range(trials):
-        rng = stream(cfg.seed, trial, reuse=rng)
-        x = None
-        if start is not None:
-            burn_cfg = ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
-            x = run_chain(g, burn_cfg, start, burn_rounds)
-        pair = sample_adjacent_pair(g, cfg.q, rng, x)
-        step = coupled_step(g, pair, _marks_then_proposals(rng, cfg, g.node_count))
-        phi = hamming_distance(step.x_next, step.y_next)
-        total += phi
-        total_sq += phi * phi
-        max_phi = max(max_phi, phi)
+    for lo in range(0, trials, block):
+        pairs, rounds = [], []
+        for trial in range(lo, min(lo + block, trials)):
+            rng = stream(cfg.seed, trial, reuse=rng)
+            x = None
+            if start is not None:
+                burn_cfg = ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
+                x = run_chain(g, burn_cfg, start, burn_rounds)
+            pairs.append(sample_adjacent_pair(g, cfg.q, rng, x))
+            rounds.append(_marks_then_proposals(rng, cfg, n))
+        v0 = np.arange(len(pairs)) * n + [pair.v0 for pair in pairs]
+        step = _couple(_copies(g, len(pairs)), np.concatenate([pair.x for pair in pairs]),
+                       np.concatenate([pair.y for pair in pairs]), v0,
+                       np.concatenate([rr.marked for rr in rounds]), np.concatenate([rr.proposal for rr in rounds]))
+        phi = np.count_nonzero((step.x_next != step.y_next).reshape(len(pairs), n), axis=1)
+        total += int(phi.sum())
+        total_sq += int(phi @ phi)
+        max_phi = max(max_phi, int(phi.max()))
         if check_lemmas:
-            report = check_flip_path_lemmas(g, pair, step.layers, step.proposals, step.x_next, step.y_next)
-            if not report.passed:
-                lemma_failures += 1
+            # A pair whose chains differ only at v0 has nothing to certify.
+            for i in np.flatnonzero(phi > (step.x_next[v0] != step.y_next[v0])):
+                rows = slice(i * n, (i + 1) * n)
+                report = check_flip_path_lemmas(g, pairs[i], _pair_of(step.layers, i, n),
+                                                _pair_of(step.proposals, i, n),
+                                                step.x_next[rows], step.y_next[rows])
+                if not report.passed:
+                    lemma_failures += 1
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     stderr = (var / trials) ** 0.5

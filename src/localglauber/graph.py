@@ -98,6 +98,23 @@ def _neighbors(g: Graph, v: int) -> np.ndarray:
     return g.edge_dst[lo:hi]
 
 
+def _copies(g: Graph, k: int) -> Graph:
+    """k disjoint copies of g, copy i on nodes i*n .. i*n + n - 1; g itself when k is 1.
+
+    The copies' edge arrays are g's, shifted per copy, so they are already
+    in the order `Graph` keeps them, and no edge needs checking again.
+    """
+    if k == 1:
+        return g
+    h = Graph.__new__(Graph)
+    shift = np.arange(k, dtype=np.int64)[:, None] * g.node_count
+    h.node_count = k * g.node_count
+    h.max_degree = g.max_degree
+    h.edge_src = (shift + g.edge_src).ravel()
+    h.edge_dst = (shift + g.edge_dst).ravel()
+    return h
+
+
 def _neighbor_lists(g: Graph) -> list[list[int]]:
     """Every node's neighbors as Python ints, for loops that visit them all."""
     starts = np.searchsorted(g.edge_src, np.arange(g.node_count + 1)).tolist()

@@ -8,7 +8,9 @@ import resource
 
 import numpy as np
 
-from localglauber import ParameterError, ValidationError, dynamics, exact
+from localglauber import ParameterError, ValidationError, coupling, dynamics, exact
+from localglauber._stream import stream
+from localglauber.graph import _copies
 
 
 class ReferenceGraph:
@@ -238,6 +240,58 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
         M.append(frozenset(nxt))
         F.append(frozenset(flipped))
     return (cx, cy, mode), (B, K, S, tuple(M), tuple(F))
+
+
+def reference_contraction_experiment(g, cfg, trials, pair_sampler="uniform_random", burn_rounds=50,
+                                     check_lemmas=False):
+    """The per-trial loop `contraction_experiment` ran before it ran the coupled round on blocks of trials.
+
+    Every lemma check goes through `coupling.check_flip_path_lemmas`, so a
+    test that replaces it sees one call per trial.
+    """
+    start = None
+    if pair_sampler == "proper_random":
+        start = dynamics.greedy_coloring(g, cfg.q)
+    if trials == 0:
+        return coupling.ContractionEstimate(trials=0, mean=float("nan"), stderr=float("nan"), max_phi=0,
+                                            lemma_failures=0)
+    total = 0.0
+    total_sq = 0.0
+    max_phi = 0
+    lemma_failures = 0
+    rng = None
+    for trial in range(trials):
+        rng = stream(cfg.seed, trial, reuse=rng)
+        x = None
+        if start is not None:
+            burn_cfg = dynamics.ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
+            x = dynamics.run_chain(g, burn_cfg, start, burn_rounds)
+        pair = coupling.sample_adjacent_pair(g, cfg.q, rng, x)
+        step = coupling.coupled_step(g, pair, dynamics._marks_then_proposals(rng, cfg, g.node_count))
+        phi = coupling.hamming_distance(step.x_next, step.y_next)
+        total += phi
+        total_sq += phi * phi
+        max_phi = max(max_phi, phi)
+        if check_lemmas:
+            report = coupling.check_flip_path_lemmas(g, pair, step.layers, step.proposals, step.x_next, step.y_next)
+            if not report.passed:
+                lemma_failures += 1
+    mean = total / trials
+    var = max(total_sq / trials - mean * mean, 0.0)
+    stderr = (var / trials) ** 0.5
+    return coupling.ContractionEstimate(trials=trials, mean=mean, stderr=stderr, max_phi=max_phi,
+                                        lemma_failures=lemma_failures)
+
+
+def couple_rows(g, x, y, v0, marked, draws):
+    """The coupled steps of the pairs in the rows of (pairs x n) arrays, v0 one entry per row.
+
+    One call of the coupling's block code, with pair i on copy i of g; the
+    result holds every pair's arrays end to end, row i at [i*n, (i+1)*n).
+    """
+    k, n = np.shape(x)
+    return coupling._couple(_copies(g, k), np.ravel(x), np.ravel(y), np.arange(k) * n + v0,
+                            np.ravel(marked), np.ravel(draws))
 
 
 def reference_build_transition_matrix(g, cfg, *, entry_cap=2 ** 24, enforce_reversibility_condition=True):

@@ -16,7 +16,7 @@ from scipy import stats
 
 import localglauber as lg
 
-from helpers import without_condition_ii
+from helpers import couple_rows, without_condition_ii
 
 E = math.e
 
@@ -132,27 +132,40 @@ def test_criterion_3_reversibility_condition_regression():
     )
 
 
+def _coupled_blocks(g, x, y, v0, marked, proposal, block=4096):
+    """The coupled steps of trials given one per row, run a block of trials at a time.
+
+    Each step's arrays hold its trials' rows end to end.
+    """
+    for lo in range(0, len(v0), block):
+        rows = slice(lo, lo + block)
+        yield rows, couple_rows(g, x[rows], y[rows], v0[rows], marked[rows], proposal[rows])
+
+
 def test_criterion_4_coupling_marginal_validity(gamma_star_25):
     # Part 1: each chain's marked-node proposals uniform on [q] over 1e5
-    # coupled steps on C8 q=5.
+    # coupled steps on C8 q=5. Each trial draws its pair and its round from
+    # its own Philox key; the coupled steps then run in blocks of trials.
     g = lg.generate("cycle", n=8)
     q = 5
     cfg = lg.ChainConfig(q=q, gamma=gamma_star_25.gamma, seed=4)
     trials = 100_000
-    cx_counts = np.zeros(q)
-    cy_counts = np.zeros(q)
+    x, y = np.empty((trials, 8), dtype=np.int64), np.empty((trials, 8), dtype=np.int64)
+    v0 = np.empty(trials, dtype=np.int64)
+    marked, proposal = np.empty((trials, 8), dtype=bool), np.empty((trials, 8), dtype=np.int64)
     mask64 = (1 << 64) - 1
     for trial in range(trials):
         key = np.array([cfg.seed & mask64, trial], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         pair = lg.coupling.sample_adjacent_pair(g, q, rng)
-        rr = lg.RoundRandomness(
-            marked=rng.random(8) < cfg.gamma, proposal=rng.integers(0, q, 8)
-        )
-        step = lg.coupled_step(g, pair, rr)
-        m = rr.marked
-        cx_counts += np.bincount(step.proposals.cx[m], minlength=q)
-        cy_counts += np.bincount(step.proposals.cy[m], minlength=q)
+        x[trial], y[trial], v0[trial] = pair.x, pair.y, pair.v0
+        marked[trial] = rng.random(8) < cfg.gamma
+        proposal[trial] = rng.integers(0, q, 8)
+    cx_counts = np.zeros(q)
+    cy_counts = np.zeros(q)
+    for rows, step in _coupled_blocks(g, x, y, v0, marked, proposal):
+        cx_counts += np.bincount(step.proposals.cx[marked[rows].ravel()], minlength=q)
+        cy_counts += np.bincount(step.proposals.cy[marked[rows].ravel()], minlength=q)
     px = stats.chisquare(cx_counts).pvalue
     py = stats.chisquare(cy_counts).pvalue
     assert px > 0.001, f"X-side proposals not uniform: p={px}"
@@ -168,17 +181,18 @@ def test_criterion_4_coupling_marginal_validity(gamma_star_25):
     y = np.array([3, 1, 2])
     pair = lg.AdjacentPair(x, y, 0)
     cfg3 = lg.ChainConfig(q=q3, gamma=gamma3, seed=5)
-    counts_x = np.zeros(space.size)
-    counts_y = np.zeros(space.size)
+    marked, proposal = np.empty((trials, 3), dtype=bool), np.empty((trials, 3), dtype=np.int64)
     for trial in range(trials):
         key = np.array([cfg3.seed & mask64, trial], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        rr = lg.RoundRandomness(
-            marked=rng.random(3) < gamma3, proposal=rng.integers(0, q3, 3)
-        )
-        step = lg.coupled_step(g3, pair, rr)
-        counts_x[space.index_of(step.x_next)] += 1
-        counts_y[space.index_of(step.y_next)] += 1
+        marked[trial] = rng.random(3) < gamma3
+        proposal[trial] = rng.integers(0, q3, 3)
+    counts_x = np.zeros(space.size)
+    counts_y = np.zeros(space.size)
+    pairs = np.tile(pair.x, (trials, 1)), np.tile(pair.y, (trials, 1)), np.full(trials, pair.v0)
+    for _, step in _coupled_blocks(g3, *pairs, marked, proposal):
+        counts_x += np.bincount(step.x_next.reshape(-1, 3) @ space.q_powers, minlength=space.size)
+        counts_y += np.bincount(step.y_next.reshape(-1, 3) @ space.q_powers, minlength=space.size)
     max_sigmas = 0.0
     for counts, start in ((counts_x, space.index_of(x)), (counts_y, space.index_of(y))):
         row = P[start]

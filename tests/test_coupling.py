@@ -21,9 +21,14 @@ from localglauber import (
     hamming_distance,
     optimize_gamma,
 )
-from localglauber.coupling import sample_adjacent_pair
+from localglauber import coupling
+from localglauber.coupling import LemmaReport, LemmaViolation, sample_adjacent_pair
+from localglauber.graph import _copies
 
-from helpers import CONSISTENT, MIRRORED, UNMARKED, reference_assign_coupled_proposals, reference_classify_nodes
+from helpers import (
+    CONSISTENT, MIRRORED, UNMARKED, couple_rows, reference_assign_coupled_proposals, reference_classify_nodes,
+    reference_contraction_experiment, reference_round,
+)
 
 
 def make_pair(x, v0, new_color):
@@ -195,6 +200,42 @@ def test_layers_match_set_based_reference(n, p, graph_seed, seed, q, marks):
     assert np.array_equal(mode_of(marked, layers), mode)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.sampled_from([1, 2, 7]), n=st.integers(1, 12), p=st.floats(0.0, 1.0),
+       graph_seed=st.integers(0, 2**31 - 1), seed=st.integers(0, 2**31 - 1), q=st.integers(2, 6),
+       marks=st.sampled_from(["random", "v0_unmarked", "all"]))
+@example(rows=7, n=9, p=0.0, graph_seed=0, seed=0, q=3, marks="all")     # edgeless
+@example(rows=2, n=2, p=1.0, graph_seed=0, seed=1, q=2, marks="all")
+@example(rows=7, n=12, p=0.3, graph_seed=7, seed=3, q=4, marks="all")
+def test_block_rows_match_references(rows, n, p, graph_seed, seed, q, marks):
+    # Each pair of a block is one coupled round of its own.
+    g = generate("erdos_renyi", n=n, p=p, seed=graph_seed)
+    rng = np.random.default_rng(seed)
+    pairs = [sample_adjacent_pair(g, q, rng) for _ in range(rows)]
+    marked = rng.random((rows, n)) < 0.5 if marks == "random" else np.ones((rows, n), dtype=bool)
+    if marks == "v0_unmarked":
+        marked[np.arange(rows), [pr.v0 for pr in pairs]] = False
+    draws = rng.integers(0, q, (rows, n))
+    x, y, v0 = np.stack([pr.x for pr in pairs]), np.stack([pr.y for pr in pairs]), np.array([pr.v0 for pr in pairs])
+
+    B, _ = coupling._classify(_copies(g, rows), x.ravel(), y.ravel(), np.arange(rows) * n + v0)
+    step = couple_rows(g, x, y, v0, marked, draws)
+    for i, pair in enumerate(pairs):
+        (cx, cy, mode), (ref_B, ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(
+            g, pair, marked[i], draws[i])
+        one = slice(i * n, (i + 1) * n)
+        layers = coupling._pair_of(step.layers, i, n)
+        assert set(np.flatnonzero(B[one]).tolist()) == ref_B
+        assert set(np.flatnonzero(layers.K).tolist()) == ref_K
+        assert set(np.flatnonzero(layers.S).tolist()) == ref_S
+        assert [set(m.tolist()) for m in layers.M] == [set(m) for m in ref_M]
+        assert [set(f.tolist()) for f in layers.F] == [set(f) for f in ref_F]
+        assert np.array_equal(step.proposals.cx[one], cx) and np.array_equal(step.proposals.cy[one], cy)
+        assert np.array_equal(mode_of(marked[i], layers), mode)
+        assert np.array_equal(step.x_next[one], reference_round(g, pair.x, marked[i], cx)[0])
+        assert np.array_equal(step.y_next[one], reference_round(g, pair.y, marked[i], cy)[0])
+
+
 class TestCoupledStep:
     def test_no_marks_still_differ_at_v0_only(self):
         g = generate("cycle", n=6)
@@ -314,6 +355,62 @@ class TestLemmaCheckers:
             cfg = ChainConfig(q=q, gamma=0.3, seed=6)
             est = contraction_experiment(g, cfg, trials=1500, check_lemmas=True)
             assert est.lemma_failures == 0
+
+
+# Instances of the differential tests: q = 2D + 1, so proper_random applies.
+DIFFERENTIAL_GRAPHS = {
+    "C8": lambda: generate("cycle", n=8),
+    "K5": lambda: generate("complete", n=5),
+    "star6": lambda: generate("star", n=6),
+    "ER50": lambda: generate("erdos_renyi", n=50, p=0.08, seed=4),
+    "isolated": lambda: Graph(40, [(i, i + 1) for i in range(0, 30, 2)] + [(i, i + 3) for i in range(0, 27, 3)]),
+}
+
+
+class TestBlocksAgainstPerTrialLoop:
+    @pytest.mark.parametrize("check_lemmas", [False, True])
+    @pytest.mark.parametrize("sampler", ["uniform_random", "proper_random"])
+    @pytest.mark.parametrize("name", list(DIFFERENTIAL_GRAPHS))
+    def test_estimates_equal(self, name, sampler, check_lemmas):
+        g = DIFFERENTIAL_GRAPHS[name]()
+        cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=7)
+        block = coupling._trials_per_block(g)
+        for trials in (0, 1, block - 1, block, block + 1):
+            args = (g, cfg, trials, sampler, 2, check_lemmas)
+            ours, ref = contraction_experiment(*args), reference_contraction_experiment(*args)
+            if trials == 0:
+                assert ours.trials == ref.trials == 0 and np.isnan(ours.mean) and np.isnan(ref.mean)
+            else:
+                assert ours == ref, f"{name} {sampler} check_lemmas={check_lemmas} trials={trials}"
+
+    def test_every_divergent_trial_is_checked(self, monkeypatch):
+        # The checker sees exactly the trials whose chains differ away from
+        # v0 in the per-trial loop, and each of its failures counts.
+        g = DIFFERENTIAL_GRAPHS["ER50"]()
+        cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=6)
+        trials = 3 * coupling._trials_per_block(g) + 5
+        check = coupling.check_flip_path_lemmas
+        divergent = []
+
+        def counting(*args):
+            report = check(*args)
+            divergent.append(bool(report.differing_nodes))
+            return report
+
+        monkeypatch.setattr(coupling, "check_flip_path_lemmas", counting)
+        reference_contraction_experiment(g, cfg, trials, check_lemmas=True)
+        assert len(divergent) == trials
+        expected = sum(divergent)
+        assert expected > 0
+        divergent.clear()
+        contraction_experiment(g, cfg, trials, check_lemmas=True)
+        assert divergent == [True] * expected
+
+        def failing(*args):
+            return LemmaReport(differing_nodes=[-1], witnesses={}, violations=[LemmaViolation(-1, "forced")])
+
+        monkeypatch.setattr(coupling, "check_flip_path_lemmas", failing)
+        assert contraction_experiment(g, cfg, trials, check_lemmas=True).lemma_failures == expected
 
 
 class TestHamming:

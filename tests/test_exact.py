@@ -67,6 +67,18 @@ class TestEnumeration:
             assert space.index_of(space.coloring_of(idx)) == idx
         assert space.index_of([0, 0, 0, 0]) == 0
 
+    @pytest.mark.parametrize("coloring", [[5, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0], [0, 0, 0, 0, 0], [0.5, 0, 0, 0]])
+    def test_index_of_rejects_foreign_colorings(self, coloring):
+        # [5, 0, 0, 0] once read as the index of [2, 1, 0, 0].
+        with pytest.raises(ValidationError):
+            StateSpace(generate("cycle", n=4), 3).index_of(coloring)
+
+    @pytest.mark.parametrize("index", [-1, 81, 10**20])
+    def test_coloring_of_rejects_foreign_indices(self, index):
+        # -1 once returned the last state.
+        with pytest.raises(ParameterError):
+            StateSpace(generate("cycle", n=4), 3).coloring_of(index)
+
     def test_colors_above_int16_survive_the_table(self):
         # The state table once held colors as int16, which wrapped q - 1 = 39999 to -25537.
         q = 40_000

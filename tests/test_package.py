@@ -10,6 +10,8 @@ import numpy as np
 import localglauber as lg
 from localglauber import dynamics, exact
 
+from helpers import couple_rows
+
 RETURN_TYPES = {
     "ContractionReport", "GammaOptimum", "ContractionEstimate", "CoupledStep", "CouplingLayers",
     "ProposalPair", "RoundStats", "CheckReport", "MixingResult", "TVCurve",
@@ -94,15 +96,27 @@ def test_philox_is_built_only_in_the_stream_helper():
 
 
 def test_kernel_and_exact_builder_share_one_acceptance_rule(monkeypatch):
-    # Both resolve proposals through dynamics._clashes: under a rule that
-    # never clashes, every marked node adopts its proposal in both.
+    # The round kernel, the exact builder and the coupled block all resolve
+    # proposals through dynamics._clashes: under a rule that never clashes,
+    # every marked node adopts its proposal in each.
     def never(ps, pd, *rest):
         return np.zeros(np.broadcast_shapes(np.shape(ps), np.shape(pd)), dtype=bool)
 
+    g = lg.generate("cycle", n=4)
+    pairs = np.array([[0, 0, 0, 0], [1, 2, 1, 2]]), np.array([[1, 0, 0, 0], [1, 2, 0, 2]]), np.array([0, 2])
+    block_marked = np.array([[True, True, False, True], [True, True, True, True]])
+    draws = np.array([[1, 1, 2, 0], [2, 1, 2, 1]])
+
+    def coupled_block_accepts_all():
+        step = couple_rows(g, *pairs, block_marked, draws)
+        return all(np.array_equal(nxt, np.where(block_marked.ravel(), c, cur.ravel())) for nxt, c, cur in (
+            (step.x_next, step.proposals.cx, pairs[0]), (step.y_next, step.proposals.cy, pairs[1])))
+
+    assert not coupled_block_accepts_all()
     assert exact._clashes is dynamics._clashes
     for module in (dynamics, exact):
         monkeypatch.setattr(module, "_clashes", never)
-    g = lg.generate("cycle", n=4)
+    assert coupled_block_accepts_all()
     marked = np.array([True, True, False, True])
     out, accepted = lg.apply_proposals(g, np.zeros(4, dtype=np.int64), marked, np.array([1, 1, 2, 0]))
     assert accepted.tolist() == marked.tolist() and out.tolist() == [1, 1, 0, 0]
