@@ -69,6 +69,9 @@ def main(argv=None) -> int:
     except (ParameterError, ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as e:  # a --config, --graph or output path that cannot be opened
+        print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -137,19 +140,23 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> argparse.Namespace:
     """
     if getattr(args, "config", None):
         actions = {action.dest: action for action in parser._actions}
-        with open(args.config, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParameterError(f"{args.config}:{lineno}: expected 'key = value'")
-                key, value = (part.strip() for part in line.split("=", 1))
-                attr = key.replace("-", "_")
-                if not hasattr(args, attr):
-                    raise ParameterError(f"{args.config}:{lineno}: unknown key {key!r}")
-                if getattr(args, attr) is None:
-                    setattr(args, attr, _convert(actions[attr], key, value))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ParameterError(f"{args.config}: not UTF-8 text") from None
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParameterError(f"{args.config}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            attr = key.replace("-", "_")
+            if not hasattr(args, attr):
+                raise ParameterError(f"{args.config}:{lineno}: unknown key {key!r}")
+            if getattr(args, attr) is None:
+                setattr(args, attr, _convert(actions[attr], key, value))
     return args
 
 
@@ -381,7 +388,7 @@ def cmd_exact(args) -> int:
     curve = exact.tv_curve(P, space, starts=starts, max_rounds=max_rounds, stop_tv=min(eps_list))
     mixing = {}
     for eps in eps_list:
-        res = exact.exact_mixing_time(P, space, eps, max_rounds=max_rounds, curve=curve)
+        res = exact.exact_mixing_time(P, space, eps, curve=curve)
         mixing[_fmt(eps)] = res.rounds if not res.exceeded else f"exceeded max_rounds={max_rounds}"
 
     if args.tv_out:

@@ -333,6 +333,9 @@ PAIR_SAMPLERS = ("uniform_random", "proper_random")
 # grid. Larger blocks save little time and raise the peak memory.
 _BLOCK_ENTRIES = 1 << 13
 
+# Rounds of the chain from a greedy coloring before each proper_random pair.
+_BURN_ROUNDS = 50
+
 
 def _trials_per_block(g: Graph) -> int:
     return max(1, _BLOCK_ENTRIES // max(g.node_count, len(g.edge_src)))
@@ -357,13 +360,12 @@ def contraction_experiment(
     cfg: ChainConfig,
     trials: int,
     pair_sampler: str = "uniform_random",
-    burn_rounds: int = 50,
     check_lemmas: bool = False,
 ) -> ContractionEstimate:
     """Average the coupled one-round distance phi(X', Y') over sampled adjacent pairs.
 
     X is a uniform coloring ("uniform_random"), or the state after
-    `burn_rounds` rounds of the chain from a greedy coloring
+    _BURN_ROUNDS rounds of the chain from a greedy coloring
     ("proper_random", which needs q > max_degree). Trials use independent
     Philox streams keyed on (cfg.seed, trial), so they are reproducible and
     order independent. One generator is re-keyed per trial; a proper_random
@@ -402,7 +404,7 @@ def contraction_experiment(
             x = None
             if start is not None:
                 burn_cfg = ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
-                x = run_chain(g, burn_cfg, start, burn_rounds)
+                x = run_chain(g, burn_cfg, start, _BURN_ROUNDS)
             pairs.append(sample_adjacent_pair(g, cfg.q, rng, x))
             rounds.append(_marks_then_proposals(rng, cfg, n))
         v0 = np.arange(len(pairs)) * n + [pair.v0 for pair in pairs]

@@ -160,7 +160,7 @@ def run_chain_trace(g: Graph, cfg: ChainConfig, x0: np.ndarray, rounds: int):
         n_accepted = int(np.count_nonzero(accepted))
         trace.append(RoundStats(t, n_marked, n_accepted, n_marked - n_accepted, is_proper(g, x)))
 
-    return run_chain(g, cfg, x0, rounds, record), trace
+    return run_chain(g, cfg, x0, rounds, observe=record), trace
 
 
 def sequential_glauber_step(g: Graph, q: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -24,14 +24,17 @@ from .errors import ParameterError, ResourceLimitError, ValidationError
 from .graph import Graph, _neighbors
 
 ENUMERATION_CAP_BITS = 24.0           # allow q^n states up to 2^24
-DEFAULT_MATRIX_ENTRY_CAP = 2 ** 24    # allow q^n * q^n matrix entries up to 2^24
+MATRIX_ENTRY_CAP = 2 ** 24            # allow q^n * q^n matrix entries up to 2^24
 _BLOCK = 1 << 18                      # entries per temporary block of the orbit scatter and the checks
+_CHECK_TOL = 1e-12                    # largest error the row-sum, balance and stationarity checks pass
 
 
 class StateSpace:
     """All q^n colorings of a graph, with a properness mask."""
 
     def __init__(self, graph: Graph, q: int):
+        if not isinstance(q, (int, np.integer)):
+            raise ParameterError(f"q must be an integer, got {q!r}")
         if q < 1:
             raise ParameterError(f"q must be >= 1, got {q}")
         n = graph.node_count
@@ -75,8 +78,11 @@ def enumerate_proper_colorings(g: Graph, q: int):
     return proper, len(proper)
 
 
-def build_transition_matrix(g: Graph, cfg: ChainConfig, *, entry_cap: int = DEFAULT_MATRIX_ENTRY_CAP) -> np.ndarray:
+def build_transition_matrix(g: Graph, cfg: ChainConfig) -> np.ndarray:
     """Exact dense one-round transition matrix, rows indexed like StateSpace.
+
+    Both P and the combination table it is summed from must fit in
+    MATRIX_ENTRY_CAP entries, else ResourceLimitError.
 
     Sums over all 2^n markings and q^|M| proposal vectors, weighting each by
     gamma^|M| (1-gamma)^(n-|M|) q^(-|M|) and applying the acceptance rule
@@ -101,16 +107,16 @@ def build_transition_matrix(g: Graph, cfg: ChainConfig, *, entry_cap: int = DEFA
     """
     space = StateSpace(g, cfg.q)
     Q = space.size
-    if Q * Q > entry_cap:
+    if Q * Q > MATRIX_ENTRY_CAP:
         raise ResourceLimitError(
-            f"transition matrix needs {Q}x{Q} = {Q * Q} entries, over the cap of {entry_cap}"
+            f"transition matrix needs {Q}x{Q} = {Q * Q} entries, over the cap of {MATRIX_ENTRY_CAP}"
         )
     n, q = g.node_count, cfg.q
     # The combination table is held to P's cap; with one color it outgrows P.
-    if n * (q + 1) ** n > entry_cap:
+    if n * (q + 1) ** n > MATRIX_ENTRY_CAP:
         raise ResourceLimitError(
             f"{(q + 1) ** n} (marking, proposal) combinations of {n} nodes need "
-            f"{n * (q + 1) ** n} table entries, over the cap of {entry_cap}"
+            f"{n * (q + 1) ** n} table entries, over the cap of {MATRIX_ENTRY_CAP}"
         )
     A, weight = _combination_table(n, q, cfg.gamma)
     marked = A >= 0
@@ -199,19 +205,19 @@ def _row_blocks(P: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         yield part, P[np.ix_(rows[part], cols)]
 
 
-def check_detailed_balance(P: np.ndarray, space: StateSpace, tol: float = 1e-12) -> CheckReport:
+def check_detailed_balance(P: np.ndarray, space: StateSpace) -> CheckReport:
     """P must be symmetric on proper-proper index pairs (uniform detailed balance)."""
     idx = space.proper_indices
     maxima = [np.abs(block - P[np.ix_(idx, idx[part])].T).max() for part, block in _row_blocks(P, idx, idx)]
     err = float(np.max(maxima, initial=0.0))
-    return CheckReport("detailed_balance", err <= tol, err)
+    return CheckReport("detailed_balance", err <= _CHECK_TOL, err)
 
 
-def check_uniform_stationary(P: np.ndarray, space: StateSpace, tol: float = 1e-12) -> CheckReport:
+def check_uniform_stationary(P: np.ndarray, space: StateSpace) -> CheckReport:
     """mu P = mu for mu uniform on proper colorings."""
     mu = stationary_uniform(space)
     err = float(np.abs(mu @ P - mu).max())
-    return CheckReport("uniform_stationary", err <= tol, err)
+    return CheckReport("uniform_stationary", err <= _CHECK_TOL, err)
 
 
 def check_absorption(P: np.ndarray, space: StateSpace) -> CheckReport:
@@ -237,9 +243,9 @@ def check_irreducibility(P: np.ndarray, space: StateSpace) -> CheckReport:
     return CheckReport("irreducible_on_proper", ncomp == 1, float(ncomp - 1), f"{ncomp} strong component(s)")
 
 
-def check_row_stochastic(P: np.ndarray, tol: float = 1e-12) -> CheckReport:
+def check_row_stochastic(P: np.ndarray) -> CheckReport:
     err = float(np.abs(P.sum(axis=1) - 1.0).max())
-    return CheckReport("row_stochastic", err <= tol, err)
+    return CheckReport("row_stochastic", err <= _CHECK_TOL, err)
 
 
 def stationary_uniform(space: StateSpace) -> np.ndarray:
@@ -283,12 +289,11 @@ def tv_curve(
     `starts` defaults to every state; to remain exact on larger instances,
     pass the output of symmetry_reduced_starts (TV from a start is constant
     on symmetry orbits, so orbit representatives realize the same maximum).
+    Given starts must be a non-empty sequence of integer indices in [0, q^n).
     """
     if max_rounds < 0:
         raise ParameterError(f"max_rounds must be >= 0, got {max_rounds}")
-    if starts is None:
-        starts = np.arange(space.size)
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.arange(space.size) if starts is None else _check_starts(space, starts)
     mu = stationary_uniform(space)
     # Two starts x Q blocks: V holds the distributions, W receives V @ P and
     # then, once V is no longer needed, |V - mu| for the TV row.
@@ -315,7 +320,7 @@ def tv_curve(
 
 @dataclass
 class MixingResult:
-    rounds: int | None            # None when max_rounds was exceeded
+    rounds: int | None            # None when the TV curve never reached eps
 
     @property
     def exceeded(self) -> bool:
@@ -326,18 +331,19 @@ def exact_mixing_time(
     P: np.ndarray,
     space: StateSpace,
     eps: float,
-    max_rounds: int = 10_000,
     curve: TVCurve | None = None,
 ) -> MixingResult:
     """Smallest t with max-over-starts TV(sigma P^t, uniform-proper) <= eps.
 
     Accepts a precomputed TVCurve so several eps thresholds can share one
-    evolution. Exceeding max_rounds is reported, not raised.
+    evolution; without one, evolves every start for at most tv_curve's
+    default round count. A curve that never reaches eps is reported, not
+    raised.
     """
     if not 0.0 < eps:
         raise ParameterError(f"eps must be positive, got {eps}")
     if curve is None:
-        curve = tv_curve(P, space, max_rounds=max_rounds, stop_tv=eps)
+        curve = tv_curve(P, space, stop_tv=eps)
     hit = np.flatnonzero(curve.max_tv <= eps)
     return MixingResult(rounds=int(hit[0]) if len(hit) else None)
 
@@ -347,13 +353,24 @@ def improper_mass_curve(P: np.ndarray, space: StateSpace, start_index: int, roun
     if rounds < 0:
         raise ParameterError(f"rounds must be >= 0, got {rounds}")
     nu = np.zeros(space.size)
-    nu[start_index] = 1.0
+    nu[_check_starts(space, [start_index])] = 1.0
     improper = ~space.proper_mask
     masses = [float(nu[improper].sum())]
     for _ in range(rounds):
         nu = nu @ P
         masses.append(float(nu[improper].sum()))
     return np.asarray(masses)
+
+
+def _check_starts(space: StateSpace, starts) -> np.ndarray:
+    """Start states as an int64 array: a non-empty 1-D sequence of integer indices in [0, size), else ParameterError."""
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or starts.size == 0 or not np.issubdtype(starts.dtype, np.integer):
+        raise ParameterError(f"starts must be a non-empty 1-D sequence of integer state indices, got {starts!r}")
+    outside = starts[(starts < 0) | (starts >= space.size)]
+    if outside.size:
+        raise ParameterError(f"state index {outside[0]} outside [0,{space.size})")
+    return starts.astype(np.int64)
 
 
 def symmetry_reduced_starts(space: StateSpace, node_automorphisms) -> np.ndarray:
@@ -363,9 +380,10 @@ def symmetry_reduced_starts(space: StateSpace, node_automorphisms) -> np.ndarray
     and the uniform-proper target is invariant under both, so the TV curve
     from a start depends only on its orbit; the returned representatives
     (the smallest index of each orbit) realize the exact maximum over all
-    q^n starts.
+    q^n starts. A permutation that is not a node automorphism of the graph
+    would merge states of different orbits, so it raises ValidationError.
     """
-    perms = [np.asarray(p, dtype=np.int64) for p in node_automorphisms]
+    perms = [_check_automorphism(space.graph, p) for p in node_automorphisms]
     if not perms:
         perms = [np.arange(space.graph.node_count, dtype=np.int64)]
     canon = None
@@ -374,6 +392,20 @@ def symmetry_reduced_starts(space: StateSpace, node_automorphisms) -> np.ndarray
         canon = key if canon is None else np.minimum(canon, key)
     _, first = np.unique(canon, return_index=True)
     return np.sort(first)
+
+
+def _check_automorphism(g: Graph, p) -> np.ndarray:
+    """p as an int64 array, when it permutes range(n) and maps the edges of g onto edges of g."""
+    p = np.asarray(p)
+    n = g.node_count
+    if p.shape != (n,) or not np.issubdtype(p.dtype, np.integer) or not np.array_equal(np.sort(p), np.arange(n)):
+        raise ValidationError(f"{p.tolist()} is not a permutation of the {n} nodes")
+    p = p.astype(np.int64)
+    # edge_src * n + edge_dst is sorted (see Graph), so sorting the mapped
+    # keys compares the two edge sets.
+    if not np.array_equal(np.sort(p[g.edge_src] * n + p[g.edge_dst]), g.edge_src * n + g.edge_dst):
+        raise ValidationError(f"{p.tolist()} maps an edge onto a non-edge, so it is not a node automorphism")
+    return p
 
 
 def _color_pattern_index(colors: np.ndarray, q: int, q_powers: np.ndarray) -> np.ndarray:

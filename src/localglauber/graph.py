@@ -231,7 +231,10 @@ def parse_edge_list(text):
     SIZE_CAP raises ResourceLimitError.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError("not UTF-8 text", line=text.count(b"\n", 0, e.start) + 1) from None
     edges: list[tuple[int, int]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):

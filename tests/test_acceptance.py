@@ -62,8 +62,8 @@ def small_matrices():
 def test_criterion_1_detailed_balance_and_stationarity(small_matrices):
     worst_db = worst_st = 0.0
     for (name, gamma), (_, _, space, P) in small_matrices.items():
-        db = lg.check_detailed_balance(P, space, tol=1e-12)
-        st = lg.check_uniform_stationary(P, space, tol=1e-12)
+        db = lg.check_detailed_balance(P, space)
+        st = lg.check_uniform_stationary(P, space)
         assert db.passed, f"{name} gamma={gamma}: detailed balance error {db.max_error}"
         assert st.passed, f"{name} gamma={gamma}: stationarity error {st.max_error}"
         worst_db = max(worst_db, db.max_error)
@@ -112,7 +112,7 @@ def test_criterion_3_reversibility_condition_regression():
         for gamma in GAMMAS:
             with without_condition_ii():
                 P = lg.build_transition_matrix(g, lg.ChainConfig(q=q, gamma=gamma))
-            rep = lg.check_detailed_balance(P, space, tol=1e-12)
+            rep = lg.check_detailed_balance(P, space)
             if complete:
                 assert rep.max_error <= 1e-12, (
                     f"{name} gamma={gamma}: corrupted-rule asymmetry {rep.max_error} on a complete graph"
@@ -262,8 +262,10 @@ def test_criterion_7_bound_arithmetic():
 EPS_LIST = (0.25, 0.25 / E, 0.25 / E**2)
 # Matrix entries for q=5: 5^(2n). Up to this cap (n <= 6: 2.44e8 entries,
 # 1.8 GiB) the exact run goes ahead directly. Above it (n=7: 45.5 GiB, n=8:
-# 1,136.9 GiB as float64) the module's default cap must refuse, and the same
-# exact run goes ahead only where physical memory holds what it needs.
+# 1,136.9 GiB as float64) the module's own MATRIX_ENTRY_CAP must refuse, and
+# the same exact run goes ahead only where physical memory holds what it
+# needs. Either way the test then patches exact.MATRIX_ENTRY_CAP to Q^2 for
+# its one build, since every n here is above the module's cap of 2^24.
 CRITERION8_ENTRY_CAP = 2**28
 # tv_curve holds two starts x Q float64 blocks at once: the distributions,
 # and their product with P, which doubles as the TV scratch (tracemalloc
@@ -272,7 +274,7 @@ TV_BLOCKS = 2
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_criterion_8_log_mixing_probe(n, gamma_star_25):
+def test_criterion_8_log_mixing_probe(n, gamma_star_25, monkeypatch):
     q = 5
     g = lg.generate("cycle", n=n)
     cfg = lg.ChainConfig(q=q, gamma=gamma_star_25.gamma)
@@ -295,7 +297,8 @@ def test_criterion_8_log_mixing_probe(n, gamma_star_25):
                 f"for {parts}; physical memory is {phys:,} B ({phys / 2**30:,.1f} GiB)",
             )
 
-    P = lg.build_transition_matrix(g, cfg, entry_cap=states * states)
+    monkeypatch.setattr(lg.exact, "MATRIX_ENTRY_CAP", states * states)
+    P = lg.build_transition_matrix(g, cfg)
     if reps is None:
         reps = lg.symmetry_reduced_starts(space, lg.cycle_automorphisms(n))
     curve = lg.tv_curve(P, space, starts=reps, stop_tv=min(EPS_LIST), max_rounds=800)

@@ -383,6 +383,25 @@ class TestConfigAndDeterminism:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--config", "{missing}", "--gen", "cycle", "--gen-args", "n=4"], "{missing}: No such file or directory"),
+        (["--graph", "{missing}"], "{missing}: No such file or directory"),
+        (["--gen", "cycle", "--gen-args", "n=4", "--out", "{missing}"], "{missing}: No such file or directory"),
+        (["--gen", "cycle", "--gen-args", "n=4", "--trace", "{missing}"], "{missing}: No such file or directory"),
+        (["--graph", "{dir}"], "{dir}: Is a directory"),
+        (["--graph", "{latin1}"], "line 2: not UTF-8 text"),
+        (["--config", "{latin1}", "--gen", "cycle", "--gen-args", "n=4"], "{latin1}: not UTF-8 text"),
+    ], ids=["config-missing", "graph-missing", "out-dir-missing", "trace-dir-missing", "graph-is-dir",
+            "graph-not-utf8", "config-not-utf8"])
+    def test_file_errors_end_in_one_error_line(self, tmp_path, capsys, argv, message):
+        # Each of these once ended in a traceback.
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"0 1\n1 2 # caf\xe9\n")
+        paths = {"missing": tmp_path / "missing" / "f.txt", "dir": tmp_path, "latin1": latin1}
+        argv = [arg.format(**paths) for arg in argv]
+        assert run("sample", *argv, "--q", "3", "--gamma", "0.3", "--rounds", "1") == 1
+        assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 12\n")

@@ -371,13 +371,14 @@ class TestBlocksAgainstPerTrialLoop:
     @pytest.mark.parametrize("check_lemmas", [False, True])
     @pytest.mark.parametrize("sampler", ["uniform_random", "proper_random"])
     @pytest.mark.parametrize("name", list(DIFFERENTIAL_GRAPHS))
-    def test_estimates_equal(self, name, sampler, check_lemmas):
+    def test_estimates_equal(self, name, sampler, check_lemmas, monkeypatch):
         g = DIFFERENTIAL_GRAPHS[name]()
         cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=7)
         block = coupling._trials_per_block(g)
+        monkeypatch.setattr(coupling, "_BURN_ROUNDS", 2)
         for trials in (0, 1, block - 1, block, block + 1):
-            args = (g, cfg, trials, sampler, 2, check_lemmas)
-            ours, ref = contraction_experiment(*args), reference_contraction_experiment(*args)
+            ours = contraction_experiment(g, cfg, trials, sampler, check_lemmas=check_lemmas)
+            ref = reference_contraction_experiment(g, cfg, trials, sampler, burn_rounds=2, check_lemmas=check_lemmas)
             if trials == 0:
                 assert ours.trials == ref.trials == 0 and np.isnan(ours.mean) and np.isnan(ref.mean)
             else:
@@ -449,10 +450,11 @@ class TestContractionExperiment:
         est = contraction_experiment(g, cfg, trials=20_000)
         assert est.mean <= 1.0 - opt.delta + 3.0 * est.stderr
 
-    def test_proper_random_sampler(self):
+    def test_proper_random_sampler(self, monkeypatch):
         g = generate("cycle", n=8)
         cfg = ChainConfig(q=5, gamma=0.3, seed=4)
-        est = contraction_experiment(g, cfg, trials=200, pair_sampler="proper_random", burn_rounds=20)
+        monkeypatch.setattr(coupling, "_BURN_ROUNDS", 20)
+        est = contraction_experiment(g, cfg, trials=200, pair_sampler="proper_random")
         assert est.trials == 200
         with pytest.raises(ParameterError):
             contraction_experiment(
@@ -460,13 +462,14 @@ class TestContractionExperiment:
                 pair_sampler="proper_random",
             )
 
-    def test_proper_random_burn_in_keeps_the_trial_stream(self):
+    def test_proper_random_burn_in_keeps_the_trial_stream(self, monkeypatch):
         # The trial's generator is re-keyed per trial while each burn-in chain
         # draws from a generator of its own. Recorded before either reused
-        # a generator.
+        # a generator, with 20 burn-in rounds.
         g = generate("cycle", n=8)
         cfg = ChainConfig(q=5, gamma=0.3, seed=4)
-        est = contraction_experiment(g, cfg, 200, pair_sampler="proper_random", burn_rounds=20, check_lemmas=True)
+        monkeypatch.setattr(coupling, "_BURN_ROUNDS", 20)
+        est = contraction_experiment(g, cfg, 200, pair_sampler="proper_random", check_lemmas=True)
         fields = [est.trials, float(est.mean).hex(), float(est.stderr).hex(), est.max_phi, est.lemma_failures]
         assert fields == [200, "0x1.07ae147ae147bp+0", "0x1.2c7dc0f1cac13p-5", 3, 0]
 

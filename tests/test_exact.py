@@ -61,6 +61,14 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             StateSpace(generate("path", n=13), 5)  # 5^13 states > 2^24
 
+    @pytest.mark.parametrize("q", [2.5, 3.0, "3"])
+    def test_non_integer_q_rejected(self, q):
+        # 2.5 once ended in numpy's TypeError while building the state table.
+        with pytest.raises(ParameterError, match="q must be an integer"):
+            StateSpace(generate("cycle", n=3), q)
+        with pytest.raises(ParameterError, match="q must be an integer"):
+            enumerate_proper_colorings(generate("cycle", n=3), q)
+
     def test_index_round_trip(self):
         space = StateSpace(generate("cycle", n=4), 3)
         for idx in (0, 17, 80, 42):
@@ -320,10 +328,34 @@ class TestMixingTime:
             improper_mass_curve(P, space, start_index=0, rounds=-1)
         assert tv_curve(P, space, max_rounds=0).rounds.tolist() == [0]
 
+    @pytest.mark.parametrize("starts", [[-1], [0.5], [27], [], [[0, 1]], [True]],
+                             ids=["negative", "float", "size", "empty", "2-D", "bool"])
+    def test_foreign_starts_rejected(self, starts):
+        # On C3 at q=3 (27 states), [-1] once ran from state 26 but recorded
+        # -1, [0.5] ran from state 0, and [27] and [] ended in numpy errors.
+        g = generate("cycle", n=3)
+        space = StateSpace(g, 3)
+        P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.3))
+        with pytest.raises(ParameterError):
+            tv_curve(P, space, starts=starts, max_rounds=2)
+        if np.ndim(starts) == 1 and len(starts) == 1:
+            with pytest.raises(ParameterError):
+                improper_mass_curve(P, space, starts[0], 2)  # -1 once ran from the last state
+
+    def test_starts_of_any_integer_type_accepted(self):
+        g = generate("cycle", n=3)
+        space = StateSpace(g, 3)
+        P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.3))
+        curve = tv_curve(P, space, starts=np.array([26, 0], dtype=np.uint8), max_rounds=2)
+        assert curve.start_indices.dtype == np.int64
+        assert np.array_equal(curve.tv_from_start(26), tv_curve(P, space, starts=[26], max_rounds=2).per_start[0])
+        assert np.array_equal(improper_mass_curve(P, space, np.int16(26), 2), improper_mass_curve(P, space, 26, 2))
+
     def test_exceeded_reported_not_raised(self):
         g = generate("cycle", n=4)
         P = build_transition_matrix(g, ChainConfig(q=5, gamma=0.4))
-        res = exact_mixing_time(P, StateSpace(g, 5), eps=0.01, max_rounds=3)
+        space = StateSpace(g, 5)
+        res = exact_mixing_time(P, space, eps=0.01, curve=tv_curve(P, space, max_rounds=3))
         assert res.exceeded and res.rounds is None
 
     def test_geometric_tail_on_triangle(self):
@@ -368,6 +400,17 @@ class TestSymmetryReduction:
         reps = symmetry_reduced_starts(space, group)
         assert reps.dtype == np.int64
         assert np.array_equal(reps, reference_symmetry_reduced_starts(space, group))
+
+    @pytest.mark.parametrize("perm", [[0, 1], [0, 1, 2, 3], [0, 0, 2], [0, 1, 3], [0.0, 1.0, 2.0], [1, 0, 2]],
+                             ids=["short", "long", "repeat", "outside", "float", "edge-to-non-edge"])
+    def test_non_automorphisms_rejected(self, perm):
+        # On P3 at q=3, [0, 1] once gave 2 "orbit starts" where colour
+        # relabelling alone gives 5, and [1, 0, 2], which maps edge (1, 2)
+        # onto the non-edge (0, 2), was accepted.
+        space = StateSpace(generate("path", n=3), 3)
+        assert len(symmetry_reduced_starts(space, [])) == 5
+        with pytest.raises(ValidationError):
+            symmetry_reduced_starts(space, [np.arange(3), np.array(perm)])
 
     def test_orbit_counts_on_five_colored_cycles(self):
         counts = [len(symmetry_reduced_starts(StateSpace(generate("cycle", n=n), 5), cycle_automorphisms(n)))

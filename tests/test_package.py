@@ -20,17 +20,14 @@ RETURN_TYPES = {
 
 # The optional parameters of every exported function and class. An option
 # earns its place when two callers, tests and demos aside, set it to
-# different values; adding one is an edit of this table.
+# different values; adding one is an edit of this table. check_lemmas is
+# True at every call outside tests, but the benchmark workloads pass it.
 OPTIONS = {
-    "contraction_experiment": ("pair_sampler", "burn_rounds", "check_lemmas"),
+    "contraction_experiment": ("pair_sampler", "check_lemmas"),
     "ChainConfig": ("seed",),
     "run_chain": ("observe",),
     "ParseError": ("line",),
-    "build_transition_matrix": ("entry_cap",),
-    "check_detailed_balance": ("tol",),
-    "check_row_stochastic": ("tol",),
-    "check_uniform_stationary": ("tol",),
-    "exact_mixing_time": ("max_rounds", "curve"),
+    "exact_mixing_time": ("curve",),
     "tv_curve": ("starts", "max_rounds", "stop_tv"),
     "generate": ("seed",),
 }
@@ -62,7 +59,21 @@ def test_exported_options_are_pinned():
             if options:
                 found[name] = options
     assert found == OPTIONS
-    assert sum(map(len, found.values())) == 16
+    assert sum(map(len, found.values())) == 10
+
+
+def test_every_exported_option_is_set_outside_tests():
+    # Some call in the package or the benchmark workloads passes each option
+    # by keyword, to `name(...)` or to `module.name(...)`.
+    root = pathlib.Path(lg.__file__).parent
+    files = [*root.glob("*.py"), root.parents[1] / "bench" / "workloads.py"]
+    passed = {(node.func.id if isinstance(node.func, ast.Name) else node.func.attr, kw.arg)
+              for path in files for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+              for kw in node.keywords}
+    unset = [(name, option) for name, options in OPTIONS.items() for option in options
+             if (name, option) not in passed]
+    assert unset == []
 
 
 def test_every_export_has_a_caller_outside_tests():
