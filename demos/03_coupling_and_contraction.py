@@ -22,21 +22,21 @@ y[0] = 1
 pair = lg.AdjacentPair(x, y, v0=0)
 print(f"pair differs at v0=0: red={pair.r}, blue={pair.b}")
 
-B, K = lg.classify_nodes(g, pair)
-print(f"B (red/blue nodes)  : {np.flatnonzero(B).tolist()}")
-print(f"K (their closed nbhd): {np.flatnonzero(K).tolist()}")
-
 marked = np.array([False, True, True, False, False, True])
 draws = np.array([0, 1, 0, 0, 0, 4])
-proposals, layers = lg.assign_coupled_proposals(g, pair, marked, draws)
+step = lg.coupled_step(g, pair, lg.RoundRandomness(marked=marked, proposal=draws))
+proposals, layers = step.proposals, step.layers
+
+B = np.isin(x, (pair.r, pair.b)) & (np.arange(len(x)) != pair.v0)
+print(f"B (red/blue nodes)  : {np.flatnonzero(B).tolist()}")
+print(f"K (their closed nbhd): {np.flatnonzero(layers.K).tolist()}")
+
 print(f"layers M: {[m.tolist() for m in layers.M]}")
 print(f"flipped F: {[f.tolist() for f in layers.F]}")
 for v in range(6):
     mode = "mirrored" if layers.depth[v] >= 1 else "consistent" if marked[v] else "unmarked"
     print(f"  node {v}: mode={mode:10s} cx={proposals.cx[v]} cy={proposals.cy[v]}")
 
-rr = lg.RoundRandomness(marked=marked, proposal=draws)
-step = lg.coupled_step(g, pair, rr)
 print(f"x' = {step.x_next.tolist()}")
 print(f"y' = {step.y_next.tolist()}")
 print(f"coupled distance phi = {lg.hamming_distance(step.x_next, step.y_next)}")

@@ -3,15 +3,12 @@
 The dataclasses that functions only return (ContractionEstimate,
 CouplingLayers, RoundStats, TVCurve, ...) are not exported here; they stay
 importable from the modules that define them. So do the helpers that only
-their own module calls: coupling.sample_adjacent_pair,
-dynamics.draw_round_randomness and exact.stationary_uniform.
+their own module calls: dynamics.draw_round_randomness and
+exact.stationary_uniform.
 """
 
 from .analysis import combined_bound, delta_wrapup, mixing_bound, optimize_gamma, path_bound, v0_bound
-from .coupling import (
-    AdjacentPair, assign_coupled_proposals, check_flip_path_lemmas, classify_nodes,
-    contraction_experiment, coupled_step, hamming_distance,
-)
+from .coupling import AdjacentPair, check_flip_path_lemmas, contraction_experiment, coupled_step, hamming_distance
 from .dynamics import (
     DEFAULT_SEED, ChainConfig, RoundRandomness, apply_proposals, greedy_coloring, is_proper,
     random_coloring, run_chain, run_chain_trace, sequential_glauber_step, zeros_coloring,
@@ -31,8 +28,7 @@ __all__ = [
     # analysis
     "combined_bound", "delta_wrapup", "mixing_bound", "optimize_gamma", "path_bound", "v0_bound",
     # coupling
-    "AdjacentPair", "assign_coupled_proposals", "check_flip_path_lemmas", "classify_nodes",
-    "contraction_experiment", "coupled_step", "hamming_distance",
+    "AdjacentPair", "check_flip_path_lemmas", "contraction_experiment", "coupled_step", "hamming_distance",
     # dynamics
     "DEFAULT_SEED", "ChainConfig", "RoundRandomness", "apply_proposals", "greedy_coloring",
     "is_proper", "random_coloring", "run_chain", "run_chain_trace", "sequential_glauber_step",

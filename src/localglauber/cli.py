@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -141,7 +142,7 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> argparse.Namespace:
     if getattr(args, "config", None):
         actions = {action.dest: action for action in parser._actions}
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError:
             raise ParameterError(f"{args.config}: not UTF-8 text") from None
@@ -278,22 +279,45 @@ def _round12(obj):
     return obj
 
 
-def _emit(text: str, path) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write(*outputs) -> None:
+    """Write each (text, path) output of a run, to stdout where the path is None.
+
+    Every path is opened before any is written: when one cannot be opened,
+    the files this call created are removed and the others left untouched.
+    """
+    files = []  # (file, its path where this call created it)
+    try:
+        try:
+            for _, path in outputs:
+                if path:
+                    new = not os.path.exists(path)
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # not O_TRUNC, see below
+                    files.append((open(fd, "w", encoding="utf-8", newline="\n"), path if new else None))
+        except OSError:
+            for fh, created in files:
+                fh.close()
+                if created:
+                    os.remove(created)
+            raise
+        handles = iter(files)
+        for text, path in outputs:
+            fh = next(handles)[0] if path else sys.stdout
+            if path and os.path.isfile(path):  # emptied only now that every path is open
+                fh.truncate()
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    finally:
+        for fh, _ in files:
+            fh.close()
 
 
-def _emit_json(obj, path) -> None:
-    _emit(json.dumps(_round12(obj), indent=2) + "\n", path)
+def _json(obj) -> str:
+    return json.dumps(_round12(obj), indent=2) + "\n"
 
 
-def _emit_csv(header, rows, path) -> None:
+def _csv(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _emit("\n".join(lines) + "\n", path)
+    return "\n".join(lines) + "\n"
 
 
 def _parse_eps_list(raw, default):
@@ -333,16 +357,16 @@ def cmd_sample(args) -> int:
         x0 = dynamics.greedy_coloring(g, q)
 
     final, trace = dynamics.run_chain_trace(g, cfg, x0, rounds)
+    outputs = []
     if args.trace:
-        _emit_csv(
+        outputs.append((_csv(
             ("round", "marked", "accepted", "conflicts", "proper"),
             [(s.round_index, s.marked, s.accepted, s.conflicts, s.proper) for s in trace],
-            args.trace,
-        )
+        ), args.trace))
     if (args.format or "json") == "csv":
-        _emit_csv(("node", "color"), list(enumerate(final.tolist())), args.out)
+        text = _csv(("node", "color"), list(enumerate(final.tolist())))
     else:
-        _emit_json(
+        text = _json(
             {
                 "nodes": g.node_count,
                 "edges": g.edge_count,
@@ -354,9 +378,9 @@ def cmd_sample(args) -> int:
                 "init": init,
                 "proper": dynamics.is_proper(g, final),
                 "colors": final.tolist(),
-            },
-            args.out,
+            }
         )
+    _write(*outputs, (text, args.out))
     return EXIT_OK
 
 
@@ -391,19 +415,19 @@ def cmd_exact(args) -> int:
         res = exact.exact_mixing_time(P, space, eps, curve=curve)
         mixing[_fmt(eps)] = res.rounds if not res.exceeded else f"exceeded max_rounds={max_rounds}"
 
+    outputs = []
     if args.tv_out:
         default_tv = curve.tv_from_start(0)
-        _emit_csv(
+        outputs.append((_csv(
             ("t", "max_tv", "tv_from_default_start"),
             [(int(t), float(curve.max_tv[t]), float(default_tv[t])) for t in curve.rounds],
-            args.tv_out,
-        )
+        ), args.tv_out))
 
     if (args.format or "json") == "csv":
         rows = [(c.name, c.passed, c.max_error) for c in checks]
         rows.append((irreducible.name, irreducible.passed, irreducible.max_error))
         rows.extend((f"mixing_rounds[eps={k}]", "", v) for k, v in mixing.items())
-        _emit_csv(("check", "passed", "value"), rows, args.out)
+        text = _csv(("check", "passed", "value"), rows)
     else:
         report = {
             "nodes": g.node_count,
@@ -415,7 +439,8 @@ def cmd_exact(args) -> int:
             "irreducible_on_proper": {"passed": irreducible.passed, "detail": irreducible.detail},
             "mixing_rounds": mixing,
         }
-        _emit_json(report, args.out)
+        text = _json(report)
+    _write(*outputs, (text, args.out))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
@@ -454,9 +479,10 @@ def cmd_couple(args) -> int:
             report["bound_mean_phi"] = 1.0 - delta
             report["within_bound"] = bool(est.mean <= 1.0 - delta + 3.0 * est.stderr)
     if (args.format or "json") == "csv":
-        _emit_csv(tuple(report.keys()), [tuple(report.values())], args.out)
+        text = _csv(tuple(report.keys()), [tuple(report.values())])
     else:
-        _emit_json(report, args.out)
+        text = _json(report)
+    _write((text, args.out))
     return EXIT_OK
 
 
@@ -489,11 +515,12 @@ def cmd_analyze(args) -> int:
 
     header = ("alpha", "gamma", "path_bound", "v0_bound", "combined", "delta", "mixing_bound_rounds")
     if (args.format or "csv") == "json":
-        _emit_json([dict(zip(header, row)) for row in rows], args.out)
+        outputs = [(_json([dict(zip(header, row)) for row in rows]), args.out)]
     else:
-        _emit_csv(header, rows, args.out)
+        outputs = [(_csv(header, rows), args.out)]
     if args.table_out:
-        _emit_csv(("alpha", "gamma_star", "delta_star", "feasible"), table, args.table_out)
+        outputs.append((_csv(("alpha", "gamma_star", "delta_star", "feasible"), table), args.table_out))
+    _write(*outputs)
     return EXIT_OK
 
 

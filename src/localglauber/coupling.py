@@ -27,7 +27,7 @@ import numpy as np
 
 from ._stream import stream
 from .dynamics import (
-    ChainConfig, RoundRandomness, _marks_then_proposals, apply_proposals, greedy_coloring, run_chain,
+    ChainConfig, RoundRandomness, _marks_then_proposals, apply_proposals, greedy_coloring, random_coloring, run_chain,
 )
 from .errors import ParameterError, ValidationError
 from .graph import Graph, _copies, _neighbors
@@ -76,8 +76,7 @@ class ProposalPair:
 class CouplingLayers:
     """Derived node masks of one coupled round.
 
-    K: closed neighborhood of the nodes other than v0 colored r or b,
-        minus v0 (see classify_nodes).
+    K: closed neighborhood of the nodes other than v0 colored r or b, minus v0.
     S: marked nodes outside K, v0 excluded.
     depth: breadth-first layer of each node, -1 when not layered; v0 alone
         has depth 0, whether or not it is marked.
@@ -101,27 +100,6 @@ class CouplingLayers:
         return tuple(np.flatnonzero(self.flipped & (self.depth == d)) for d in range(self.depth.max() + 1))
 
 
-def classify_nodes(g: Graph, pair: AdjacentPair):
-    """Masks B (red/blue-colored nodes except v0) and K (their closed neighborhood minus v0)."""
-    return _classify(g, pair.x, pair.y, [pair.v0])
-
-
-def assign_coupled_proposals(
-    g: Graph,
-    pair: AdjacentPair,
-    marked: np.ndarray,
-    draws: np.ndarray,
-):
-    """Breadth-first assignment of coupled proposals; returns (ProposalPair, CouplingLayers).
-
-    `draws` holds one uniform color per node (used only where marked); a
-    mirrored node merely reinterprets its draw, which keeps each chain's
-    marginal uniform. Layer d+1 collects the not-yet-layered marked nodes of S that
-    neighbor a flipped node of layer d.
-    """
-    return _assign(g, pair.x, pair.y, [pair.v0], marked, draws)
-
-
 @dataclass(frozen=True)
 class CoupledStep:
     x_next: np.ndarray
@@ -135,7 +113,7 @@ def coupled_step(g: Graph, pair: AdjacentPair, rr: RoundRandomness) -> CoupledSt
     return _couple(g, pair.x, pair.y, [pair.v0], rr.marked, rr.proposal)
 
 
-# The functions above are one-pair calls of the three below, which take
+# coupled_step is the one-pair call of the two functions below, which take
 # several pairs at once. Pair i then lives on copy i of the graph inside g
 # (see graph._copies): x and y hold every copy's colorings end to end, and
 # v0[i] is the index of pair i's v0 there. Copies share no edge, so each
@@ -148,22 +126,22 @@ def _is_red_or_blue(colors, r, b):
     return ((per_pair == r[:, None]) | (per_pair == b[:, None])).ravel()
 
 
-def _classify(g: Graph, x, y, v0):
-    B = _is_red_or_blue(x, x[v0], y[v0])
-    B[v0] = False
-    K = B.copy()
-    K[g.edge_dst[B[g.edge_src]]] = True
-    K[v0] = False
-    return B, K
-
-
 def _assign(g: Graph, x, y, v0, marked, draws):
+    """Breadth-first assignment of coupled proposals; returns (ProposalPair, CouplingLayers).
+
+    `draws` holds one uniform color per node, read only where marked. Layer
+    d+1 collects the not-yet-layered nodes of S next to a flipped node of layer d.
+    """
     marked = np.asarray(marked, dtype=bool)
     draws = np.asarray(draws, dtype=np.int64)
     r, b = x[v0], y[v0]
     n = len(x) // len(r)
 
-    _, K = _classify(g, x, y, v0)
+    # K: the nodes other than v0 colored r or b, their neighbors too, v0 not.
+    K = _is_red_or_blue(x, r, b)
+    K[v0] = False
+    K[g.edge_dst[K[g.edge_src]]] = True
+    K[v0] = False
     S = marked & ~K
     S[v0] = False
 
@@ -341,20 +319,6 @@ def _trials_per_block(g: Graph) -> int:
     return max(1, _BLOCK_ENTRIES // max(g.node_count, len(g.edge_src)))
 
 
-def sample_adjacent_pair(g: Graph, q: int, rng: np.random.Generator, x: np.ndarray | None = None) -> AdjacentPair:
-    """Draw an adjacent pair around X: a uniform coloring when x is None, then v0 and Y's color there.
-
-    Needs q >= 2, which contraction_experiment checks before its first trial.
-    """
-    if x is None:
-        x = rng.integers(0, q, size=g.node_count, dtype=np.int64)
-    v0 = int(rng.integers(g.node_count))
-    y = np.array(x)
-    shift = 1 + int(rng.integers(q - 1))
-    y[v0] = (x[v0] + shift) % q
-    return AdjacentPair(x, y, v0)
-
-
 def contraction_experiment(
     g: Graph,
     cfg: ChainConfig,
@@ -372,10 +336,11 @@ def contraction_experiment(
     burn-in draws its seed from the trial's stream and runs its own chain,
     which owns its own generator.
 
-    Each trial draws its pair, then its marks and proposals, one trial at a
-    time; the coupled round then runs once for a block of trials (see
-    _BLOCK_ENTRIES). With check_lemmas, only the trials whose chains differ
-    at a node other than v0 go to check_flip_path_lemmas.
+    Each trial draws X, v0, the shift from X's color at v0 to Y's, its marks
+    and its proposals into its row of the block's arrays; the coupled round
+    then runs once per block (see _BLOCK_ENTRIES). With check_lemmas, only
+    the trials whose chains differ away from v0 become an AdjacentPair and
+    go to check_flip_path_lemmas.
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
@@ -390,7 +355,7 @@ def contraction_experiment(
         start = greedy_coloring(g, cfg.q)
     if trials == 0:
         return ContractionEstimate(trials=0, mean=float("nan"), stderr=float("nan"), max_phi=0, lemma_failures=0)
-    n = g.node_count
+    n, q = g.node_count, int(cfg.q)
     block = _trials_per_block(g)
     total = 0
     total_sq = 0
@@ -398,29 +363,39 @@ def contraction_experiment(
     lemma_failures = 0
     rng = None
     for lo in range(0, trials, block):
-        pairs, rounds = [], []
-        for trial in range(lo, min(lo + block, trials)):
-            rng = stream(cfg.seed, trial, reuse=rng)
-            x = None
-            if start is not None:
-                burn_cfg = ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
-                x = run_chain(g, burn_cfg, start, _BURN_ROUNDS)
-            pairs.append(sample_adjacent_pair(g, cfg.q, rng, x))
-            rounds.append(_marks_then_proposals(rng, cfg, n))
-        v0 = np.arange(len(pairs)) * n + [pair.v0 for pair in pairs]
-        step = _couple(_copies(g, len(pairs)), np.concatenate([pair.x for pair in pairs]),
-                       np.concatenate([pair.y for pair in pairs]), v0,
-                       np.concatenate([rr.marked for rr in rounds]), np.concatenate([rr.proposal for rr in rounds]))
-        phi = np.count_nonzero((step.x_next != step.y_next).reshape(len(pairs), n), axis=1)
+        # Row i holds trial lo + i.
+        k = min(block, trials - lo)
+        x = np.empty((k, n), dtype=np.int64)
+        marked = np.empty((k, n), dtype=bool)
+        draws = np.empty((k, n), dtype=np.int64)
+        v0 = np.empty(k, dtype=np.int64)
+        shift = np.empty(k, dtype=np.int64)
+        for i in range(k):
+            rng = stream(cfg.seed, lo + i, reuse=rng)
+            if start is None:
+                x[i] = random_coloring(g, q, rng)
+            else:
+                burn_cfg = ChainConfig(q=q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
+                x[i] = run_chain(g, burn_cfg, start, _BURN_ROUNDS)
+            v0[i] = rng.integers(n)
+            shift[i] = 1 + rng.integers(q - 1)
+            rr = _marks_then_proposals(rng, cfg, n)
+            marked[i], draws[i] = rr.marked, rr.proposal
+        at = np.arange(k) * n + v0
+        y = x.copy()
+        # In Python integers, as x + shift can exceed int64 when q is near 2^63.
+        y.flat[at] = (x.flat[at].astype(object) + shift) % q
+        step = _couple(_copies(g, k), x.ravel(), y.ravel(), at, marked.ravel(), draws.ravel())
+        phi = np.count_nonzero((step.x_next != step.y_next).reshape(k, n), axis=1)
         total += int(phi.sum())
         total_sq += int(phi @ phi)
         max_phi = max(max_phi, int(phi.max()))
         if check_lemmas:
             # A pair whose chains differ only at v0 has nothing to certify.
-            for i in np.flatnonzero(phi > (step.x_next[v0] != step.y_next[v0])):
+            for i in np.flatnonzero(phi > (step.x_next[at] != step.y_next[at])):
                 rows = slice(i * n, (i + 1) * n)
-                report = check_flip_path_lemmas(g, pairs[i], _pair_of(step.layers, i, n),
-                                                _pair_of(step.proposals, i, n),
+                report = check_flip_path_lemmas(g, AdjacentPair(x[i], y[i], v0[i]),
+                                                _pair_of(step.layers, i, n), _pair_of(step.proposals, i, n),
                                                 step.x_next[rows], step.y_next[rows])
                 if not report.passed:
                     lemma_failures += 1

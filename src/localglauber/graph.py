@@ -232,7 +232,7 @@ def parse_edge_list(text):
     """
     if isinstance(text, bytes):
         try:
-            text = text.decode("utf-8")
+            text = text.decode("utf-8-sig")
         except UnicodeDecodeError as e:
             raise ParseError("not UTF-8 text", line=text.count(b"\n", 0, e.start) + 1) from None
     edges: list[tuple[int, int]] = []

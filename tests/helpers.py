@@ -180,8 +180,8 @@ def reference_symmetry_reduced_starts(space, node_automorphisms):
     return np.asarray(sorted(reps.values()), dtype=np.int64)
 
 
-def reference_classify_nodes(g, pair):
-    """The set-based `classify_nodes` the mask-based one replaced: sets B and K."""
+def reference_k(g, pair):
+    """The set-based K the mask-based one replaced: the closed neighborhood of the red/blue nodes B, minus v0."""
     adjacency = neighbor_lists(g)
     rb = {pair.r, pair.b}
     B = {v for v in range(g.node_count) if v != pair.v0 and int(pair.x[v]) in rb}
@@ -190,7 +190,7 @@ def reference_classify_nodes(g, pair):
         K.add(v)
         K.update(adjacency[v])
     K.discard(pair.v0)
-    return B, K
+    return K
 
 
 # Sampling modes of the coupled proposals, as the reference below labels them.
@@ -198,10 +198,10 @@ UNMARKED, CONSISTENT, MIRRORED = 0, 1, 2
 
 
 def reference_assign_coupled_proposals(g, pair, marked, draws):
-    """The set-based `assign_coupled_proposals` the frontier-mask one replaced.
+    """The set-based assignment of coupled proposals the frontier-mask one in `coupled_step` replaced.
 
-    Returns ((cx, cy, mode), (B, K, S, M, F)) with B, K, S sets and M, F
-    tuples of frozensets, M[0] = F[0] = {v0}.
+    Returns ((cx, cy, mode), (K, S, M, F)) with K, S sets and M, F tuples
+    of frozensets, M[0] = F[0] = {v0}.
     """
     adjacency = neighbor_lists(g)
     n = g.node_count
@@ -209,7 +209,7 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
     marked = np.asarray(marked, dtype=bool)
     draws = np.asarray(draws, dtype=np.int64)
 
-    B, K = reference_classify_nodes(g, pair)
+    K = reference_k(g, pair)
     S = {v for v in range(n) if marked[v] and v != v0 and v not in K}
 
     cx = np.where(marked, draws, pair.x)
@@ -239,7 +239,23 @@ def reference_assign_coupled_proposals(g, pair, marked, draws):
         assigned |= nxt
         M.append(frozenset(nxt))
         F.append(frozenset(flipped))
-    return (cx, cy, mode), (B, K, S, tuple(M), tuple(F))
+    return (cx, cy, mode), (K, S, tuple(M), tuple(F))
+
+
+def sample_adjacent_pair(g, q, rng, x=None):
+    """Draw an adjacent pair around X: a uniform coloring when x is None, then v0 and Y's color there.
+
+    The per-trial pair draw `contraction_experiment` makes into its block
+    rows, kept here for the oracle below and for tests that need pairs.
+    Y's color is computed in Python integers, so it is exact for q up to 2^63.
+    """
+    if x is None:
+        x = rng.integers(0, q, size=g.node_count, dtype=np.int64)
+    v0 = int(rng.integers(g.node_count))
+    y = np.array(x)
+    shift = 1 + int(rng.integers(q - 1))
+    y[v0] = (int(x[v0]) + shift) % q
+    return coupling.AdjacentPair(x, y, v0)
 
 
 def reference_contraction_experiment(g, cfg, trials, pair_sampler="uniform_random", burn_rounds=50,
@@ -266,7 +282,7 @@ def reference_contraction_experiment(g, cfg, trials, pair_sampler="uniform_rando
         if start is not None:
             burn_cfg = dynamics.ChainConfig(q=cfg.q, gamma=cfg.gamma, seed=int(rng.integers(0, 2**63 - 1)))
             x = dynamics.run_chain(g, burn_cfg, start, burn_rounds)
-        pair = coupling.sample_adjacent_pair(g, cfg.q, rng, x)
+        pair = sample_adjacent_pair(g, cfg.q, rng, x)
         step = coupling.coupled_step(g, pair, dynamics._marks_then_proposals(rng, cfg, g.node_count))
         phi = coupling.hamming_distance(step.x_next, step.y_next)
         total += phi

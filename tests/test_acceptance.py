@@ -16,7 +16,7 @@ from scipy import stats
 
 import localglauber as lg
 
-from helpers import couple_rows, without_condition_ii
+from helpers import couple_rows, sample_adjacent_pair, without_condition_ii
 
 E = math.e
 
@@ -157,7 +157,7 @@ def test_criterion_4_coupling_marginal_validity(gamma_star_25):
     for trial in range(trials):
         key = np.array([cfg.seed & mask64, trial], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        pair = lg.coupling.sample_adjacent_pair(g, q, rng)
+        pair = sample_adjacent_pair(g, q, rng)
         x[trial], y[trial], v0[trial] = pair.x, pair.y, pair.v0
         marked[trial] = rng.random(8) < cfg.gamma
         proposal[trial] = rng.integers(0, q, 8)

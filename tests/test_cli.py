@@ -210,6 +210,15 @@ class TestCouple:
         assert captured.out == ""
         assert captured.err.startswith("error: coupling needs q >= 2") and captured.err.count("\n") == 1
 
+    def test_largest_q(self, capsys):
+        # Ended in an OverflowError traceback: Y's color at v0 was computed
+        # in int64, where x[v0] + shift does not fit.
+        assert run("couple", "--gen", "cycle", "--gen-args", "n=3", "--q", str(2**63), "--gamma", "0.1",
+                   "--trials", "20") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["q"] == 2**63
+
 
 C6 = ("--gen", "cycle", "--gen-args", "n=6", "--q", "5", "--gamma", "0.3")
 
@@ -401,6 +410,45 @@ class TestConfigAndDeterminism:
         argv = [arg.format(**paths) for arg in argv]
         assert run("sample", *argv, "--q", "3", "--gamma", "0.3", "--rounds", "1") == 1
         assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+
+    @pytest.mark.parametrize("argv,written,failing", [
+        (("sample", "--gen", "cycle", "--gen-args", "n=4", "--q", "3", "--gamma", "0.3", "--rounds", "2"),
+         "--trace", "--out"),
+        (("exact", "--gen", "cycle", "--gen-args", "n=3", "--q", "3", "--gamma", "0.3"), "--tv-out", "--out"),
+        (("analyze", "--alphas", "2.5,3"), "--out", "--table-out"),
+    ], ids=["sample", "exact", "analyze"])
+    def test_output_path_error_leaves_no_output(self, tmp_path, capsys, argv, written, failing):
+        # Each command wrote its `written` file before it opened `failing`,
+        # so the run exited 1 and left that file behind.
+        good, bad = tmp_path / "good.csv", tmp_path / "missing" / "f.csv"
+        assert run(*argv, written, str(good), failing, str(bad)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+        # A file that was there before is left as it was.
+        good.write_text("kept\n")
+        assert run(*argv, written, str(good), failing, str(bad)) == 1
+        assert good.read_text() == "kept\n" and list(tmp_path.iterdir()) == [good]
+
+    def test_graph_file_with_byte_order_mark(self, tmp_path):
+        # The mark ended in "non-integer token in '\ufeff0 1'", exit 1.
+        edges = b"0 1\n1 2\n2 3\n3 0\n"
+        outs = []
+        for name, data in (("plain", edges), ("bom", b"\xef\xbb\xbf" + edges)):
+            (tmp_path / f"{name}.txt").write_bytes(data)
+            outs.append(tmp_path / f"{name}.json")
+            assert run("sample", "--graph", str(tmp_path / f"{name}.txt"), "--q", "4", "--gamma", "0.3",
+                       "--rounds", "3", "--out", str(outs[-1])) == 0
+        assert read(outs[0]) == read(outs[1])
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # The mark ended in "unknown key '\ufeffgen'", exit 1.
+        config = b"gen = cycle\ngen-args = n=6\nq = 4\ngamma = 0.3\nrounds = 3\n"
+        outs = []
+        for name, data in (("plain", config), ("bom", b"\xef\xbb\xbf" + config)):
+            (tmp_path / f"{name}.cfg").write_bytes(data)
+            outs.append(tmp_path / f"{name}.json")
+            assert run("sample", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(outs[-1])) == 0
+        assert read(outs[0]) == read(outs[1])
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -12,9 +12,7 @@ from localglauber import (
     RoundRandomness,
     ValidationError,
     apply_proposals,
-    assign_coupled_proposals,
     check_flip_path_lemmas,
-    classify_nodes,
     contraction_experiment,
     coupled_step,
     generate,
@@ -22,12 +20,11 @@ from localglauber import (
     optimize_gamma,
 )
 from localglauber import coupling
-from localglauber.coupling import LemmaReport, LemmaViolation, sample_adjacent_pair
-from localglauber.graph import _copies
+from localglauber.coupling import LemmaReport, LemmaViolation
 
 from helpers import (
-    CONSISTENT, MIRRORED, UNMARKED, couple_rows, reference_assign_coupled_proposals, reference_classify_nodes,
-    reference_contraction_experiment, reference_round,
+    CONSISTENT, MIRRORED, UNMARKED, couple_rows, reference_assign_coupled_proposals, reference_contraction_experiment,
+    reference_round, sample_adjacent_pair,
 )
 
 
@@ -50,6 +47,17 @@ def rr(marked, proposal):
     )
 
 
+def assign(g, pair, marked, draws):
+    """The coupled proposals and the layers of the coupled round on these marks and draws."""
+    step = coupled_step(g, pair, rr(marked, draws))
+    return step.proposals, step.layers
+
+
+def k_of(g, pair):
+    """K of the pair, read from a coupled round without marks."""
+    return coupled_step(g, pair, rr([False] * g.node_count, [0] * g.node_count)).layers.K
+
+
 class TestAdjacentPair:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -64,22 +72,17 @@ class TestClassifyNodes:
     def test_empty_when_no_red_blue_elsewhere(self):
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
-        B, K = classify_nodes(g, pair)
-        assert not B.any() and not K.any()
+        assert not k_of(g, pair).any()
 
     def test_single_neighbor_with_red(self):
         g = generate("path", n=4)  # 0-1-2-3
         pair = make_pair([0, 2, 0, 3], 0, 1)  # node 2 has color r=0
-        B, K = classify_nodes(g, pair)
-        assert np.flatnonzero(B).tolist() == [2]
-        assert np.flatnonzero(K).tolist() == [1, 2, 3]  # N+(2) minus v0
+        assert np.flatnonzero(k_of(g, pair)).tolist() == [1, 2, 3]  # N+(2) minus v0
 
     def test_star_all_leaves_blue(self):
         g = generate("star", n=6)  # center 0
         pair = make_pair([0, 1, 1, 1, 1, 1], 0, 1)  # leaves all colored b=1
-        B, K = classify_nodes(g, pair)
-        assert np.flatnonzero(B).tolist() == [1, 2, 3, 4, 5]
-        assert np.flatnonzero(K).tolist() == [1, 2, 3, 4, 5]  # everything except v0 = center
+        assert np.flatnonzero(k_of(g, pair)).tolist() == [1, 2, 3, 4, 5]  # everything except v0 = center
 
 
 class TestAssignCoupledProposals:
@@ -87,7 +90,7 @@ class TestAssignCoupledProposals:
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
         marked = [False] * 5
-        prop, layers = assign_coupled_proposals(g, pair, marked, [0] * 5)
+        prop, layers = assign(g, pair, marked, [0] * 5)
         assert [set(m) for m in layers.M] == [{0}]
         assert [set(f) for f in layers.F] == [{0}]
         assert np.all(mode_of(marked, layers) == UNMARKED)
@@ -99,7 +102,7 @@ class TestAssignCoupledProposals:
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
         marked = [True] + [False] * 4
-        prop, layers = assign_coupled_proposals(g, pair, marked, [4] * 5)
+        prop, layers = assign(g, pair, marked, [4] * 5)
         assert mode_of(marked, layers)[0] == CONSISTENT
         assert prop.cx[0] == prop.cy[0] == 4
 
@@ -107,7 +110,7 @@ class TestAssignCoupledProposals:
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
         marked = [False, True, False, False, False]
-        prop, layers = assign_coupled_proposals(g, pair, marked, [0, 0, 0, 0, 0])
+        prop, layers = assign(g, pair, marked, [0, 0, 0, 0, 0])
         assert set(layers.M[1]) == {1} and set(layers.F[1]) == {1}
         assert mode_of(marked, layers)[1] == MIRRORED
         assert prop.cx[1] == 0 and prop.cy[1] == 1  # draw r -> (r, b)
@@ -116,7 +119,7 @@ class TestAssignCoupledProposals:
         g = generate("cycle", n=5)
         pair = make_pair([0, 2, 3, 4, 2], 0, 1)
         marked = [False, True, True, False, False]
-        prop, layers = assign_coupled_proposals(g, pair, marked, [0, 3, 0, 0, 0])
+        prop, layers = assign(g, pair, marked, [0, 3, 0, 0, 0])
         assert set(layers.M[1]) == {1}
         assert set(layers.F[1]) == set()
         assert len(layers.M) == 2  # no layer beyond M^1
@@ -134,7 +137,7 @@ class TestAssignCoupledProposals:
         pair = make_pair(x, 0, 1)
         marked = [False, True, True, True, True, True, True]
         draws = [0, 2, 0, 2, 0, 1, 0]  # node1 draws 2; nodes 4,5,6 draw r/b; node3 draws 2
-        prop, layers = assign_coupled_proposals(g, pair, marked, draws)
+        prop, layers = assign(g, pair, marked, draws)
         assert set(layers.M[1]) == {1, 4}
         assert set(layers.F[1]) == {4}
         assert set(layers.M[2]) == {5} and set(layers.F[2]) == {5}
@@ -150,7 +153,7 @@ class TestAssignCoupledProposals:
             pair = sample_adjacent_pair(g, q, rng)
             marked = rng.random(12) < 0.5
             draws = rng.integers(0, q, 12)
-            prop, layers = assign_coupled_proposals(g, pair, marked, draws)
+            prop, layers = assign(g, pair, marked, draws)
             flipped = prop.cx != prop.cy
             flipped[pair.v0] = False
             # flipped only from mirrored sampling, always an r/b pair
@@ -187,11 +190,8 @@ def test_layers_match_set_based_reference(n, p, graph_seed, seed, q, marks):
         marked[pair.v0] = False
     draws = rng.integers(0, q, n)
 
-    B, K = classify_nodes(g, pair)
-    assert (set(np.flatnonzero(B).tolist()), set(np.flatnonzero(K).tolist())) == reference_classify_nodes(g, pair)
-    prop, layers = assign_coupled_proposals(g, pair, marked, draws)
-    (cx, cy, mode), (ref_B, ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(g, pair, marked, draws)
-    assert set(np.flatnonzero(B).tolist()) == ref_B
+    prop, layers = assign(g, pair, marked, draws)
+    (cx, cy, mode), (ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(g, pair, marked, draws)
     assert set(np.flatnonzero(layers.K).tolist()) == ref_K
     assert set(np.flatnonzero(layers.S).tolist()) == ref_S
     assert [set(m.tolist()) for m in layers.M] == [set(m) for m in ref_M]
@@ -218,14 +218,12 @@ def test_block_rows_match_references(rows, n, p, graph_seed, seed, q, marks):
     draws = rng.integers(0, q, (rows, n))
     x, y, v0 = np.stack([pr.x for pr in pairs]), np.stack([pr.y for pr in pairs]), np.array([pr.v0 for pr in pairs])
 
-    B, _ = coupling._classify(_copies(g, rows), x.ravel(), y.ravel(), np.arange(rows) * n + v0)
     step = couple_rows(g, x, y, v0, marked, draws)
     for i, pair in enumerate(pairs):
-        (cx, cy, mode), (ref_B, ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(
+        (cx, cy, mode), (ref_K, ref_S, ref_M, ref_F) = reference_assign_coupled_proposals(
             g, pair, marked[i], draws[i])
         one = slice(i * n, (i + 1) * n)
         layers = coupling._pair_of(step.layers, i, n)
-        assert set(np.flatnonzero(B[one]).tolist()) == ref_B
         assert set(np.flatnonzero(layers.K).tolist()) == ref_K
         assert set(np.flatnonzero(layers.S).tolist()) == ref_S
         assert [set(m.tolist()) for m in layers.M] == [set(m) for m in ref_M]
@@ -357,14 +355,19 @@ class TestLemmaCheckers:
             assert est.lemma_failures == 0
 
 
-# Instances of the differential tests: q = 2D + 1, so proper_random applies.
+# Instances of the differential tests: q = 2D + 1, so proper_random applies,
+# except where DIFFERENTIAL_Q gives q. At q = 2 the shift from X's color at
+# v0 to Y's is always 1.
 DIFFERENTIAL_GRAPHS = {
     "C8": lambda: generate("cycle", n=8),
     "K5": lambda: generate("complete", n=5),
     "star6": lambda: generate("star", n=6),
     "ER50": lambda: generate("erdos_renyi", n=50, p=0.08, seed=4),
     "isolated": lambda: Graph(40, [(i, i + 1) for i in range(0, 30, 2)] + [(i, i + 3) for i in range(0, 27, 3)]),
+    "q2": lambda: Graph(6, [(0, 1), (2, 3), (4, 5)]),
+    "one-node": lambda: Graph(1, []),
 }
+DIFFERENTIAL_Q = {"q2": 2, "one-node": 2}
 
 
 class TestBlocksAgainstPerTrialLoop:
@@ -373,7 +376,11 @@ class TestBlocksAgainstPerTrialLoop:
     @pytest.mark.parametrize("name", list(DIFFERENTIAL_GRAPHS))
     def test_estimates_equal(self, name, sampler, check_lemmas, monkeypatch):
         g = DIFFERENTIAL_GRAPHS[name]()
-        cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=7)
+        cfg = ChainConfig(q=DIFFERENTIAL_Q.get(name, 2 * g.max_degree + 1), gamma=0.3, seed=7)
+        if g.node_count == 1:
+            # Blocks of 2^13 one-node trials would make the reference loop
+            # run 2^15 trials; blocks of 64 test the same boundaries.
+            monkeypatch.setattr(coupling, "_BLOCK_ENTRIES", 64)
         block = coupling._trials_per_block(g)
         monkeypatch.setattr(coupling, "_BURN_ROUNDS", 2)
         for trials in (0, 1, block - 1, block, block + 1):
@@ -386,32 +393,62 @@ class TestBlocksAgainstPerTrialLoop:
 
     def test_every_divergent_trial_is_checked(self, monkeypatch):
         # The checker sees exactly the trials whose chains differ away from
-        # v0 in the per-trial loop, and each of its failures counts.
+        # v0 in the per-trial loop, each with that trial's pair (so with the
+        # v0 of its own row of the block), and each of its failures counts.
         g = DIFFERENTIAL_GRAPHS["ER50"]()
         cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=6)
         trials = 3 * coupling._trials_per_block(g) + 5
         check = coupling.check_flip_path_lemmas
-        divergent = []
+        checked = []
 
-        def counting(*args):
-            report = check(*args)
-            divergent.append(bool(report.differing_nodes))
+        def counting(g, pair, *rest):
+            report = check(g, pair, *rest)
+            checked.append((pair, bool(report.differing_nodes)))
             return report
 
         monkeypatch.setattr(coupling, "check_flip_path_lemmas", counting)
         reference_contraction_experiment(g, cfg, trials, check_lemmas=True)
-        assert len(divergent) == trials
-        expected = sum(divergent)
-        assert expected > 0
-        divergent.clear()
+        assert len(checked) == trials
+        expected = [pair for pair, divergent in checked if divergent]
+        assert expected
+        checked.clear()
         contraction_experiment(g, cfg, trials, check_lemmas=True)
-        assert divergent == [True] * expected
+        assert [divergent for _, divergent in checked] == [True] * len(expected)
+        for (pair, _), ref in zip(checked, expected):
+            assert pair.v0 == ref.v0
+            assert np.array_equal(pair.x, ref.x) and np.array_equal(pair.y, ref.y)
+        expected = len(expected)
 
         def failing(*args):
             return LemmaReport(differing_nodes=[-1], witnesses={}, violations=[LemmaViolation(-1, "forced")])
 
         monkeypatch.setattr(coupling, "check_flip_path_lemmas", failing)
         assert contraction_experiment(g, cfg, trials, check_lemmas=True).lemma_failures == expected
+
+    def test_pairs_are_built_only_for_checked_trials(self, monkeypatch):
+        # The block's trials live in its arrays; an AdjacentPair is made
+        # only for a trial that goes to the lemma checker.
+        g = DIFFERENTIAL_GRAPHS["ER50"]()
+        cfg = ChainConfig(q=2 * g.max_degree + 1, gamma=0.3, seed=6)
+        trials = 3 * coupling._trials_per_block(g) + 5
+        pair_type, check = coupling.AdjacentPair, coupling.check_flip_path_lemmas
+        built, checked = [], []
+
+        def building(*args):
+            built.append(args)
+            return pair_type(*args)
+
+        def checking(*args):
+            checked.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(coupling, "AdjacentPair", building)
+        monkeypatch.setattr(coupling, "check_flip_path_lemmas", checking)
+        contraction_experiment(g, cfg, trials, check_lemmas=True)
+        assert 0 < len(checked) < trials
+        assert len(built) == len(checked)
+        contraction_experiment(g, cfg, trials)
+        assert len(built) == len(checked)
 
 
 class TestHamming:
@@ -472,6 +509,21 @@ class TestContractionExperiment:
         est = contraction_experiment(g, cfg, 200, pair_sampler="proper_random", check_lemmas=True)
         fields = [est.trials, float(est.mean).hex(), float(est.stderr).hex(), est.max_phi, est.lemma_failures]
         assert fields == [200, "0x1.07ae147ae147bp+0", "0x1.2c7dc0f1cac13p-5", 3, 0]
+
+    @pytest.mark.parametrize("q", [2**63 - 1, 2**63], ids=["2^63-1", "2^63"])
+    def test_y_color_exact_at_the_largest_q(self, q):
+        # Y's color at v0 once came from int64 arithmetic, which wrapped at
+        # q = 2^63 - 1 (sometimes to X's color) and raised at q = 2^63.
+        g = generate("cycle", n=3)
+        cfg = ChainConfig(q=q, gamma=0.1, seed=2)
+        with np.errstate(over="raise"):
+            est = contraction_experiment(g, cfg, 200, check_lemmas=True)
+            assert est == reference_contraction_experiment(g, cfg, 200, check_lemmas=True)
+        assert est.lemma_failures == 0
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            pair = sample_adjacent_pair(g, q, rng, np.full(3, q - 1))
+            assert 0 <= pair.b < q and pair.b != q - 1
 
     def test_unknown_sampler_rejected(self):
         g = generate("cycle", n=8)
