@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ParameterError
+from .errors import ParameterError
 
 # optimize_gamma's coarse grid step and its golden-section tolerance.
 _GRID_STEP = 1e-3
@@ -176,14 +176,6 @@ def mixing_bound(delta: float, n: int, eps: float) -> int:
     if not 0.0 < eps < 1.0:
         raise ParameterError(f"eps must lie in (0,1), got {eps}")
     return math.ceil(math.log(n / eps) / delta)
-
-
-def require_contractive_gamma(alpha: float) -> GammaOptimum:
-    """optimize_gamma, raising InfeasibleError when no positive margin exists."""
-    opt = optimize_gamma(alpha)
-    if not opt.feasible:
-        raise InfeasibleError(f"no contractive gamma for alpha={alpha} (best delta={opt.delta:.3e})")
-    return opt
 
 
 def _validate_dqg(max_degree: int, q: int, gamma: float) -> None:

@@ -14,9 +14,12 @@ parameters, 3 resource cap exceeded, 4 a mandatory exact check failed.
 `sample` refuses more than 2^32 node-rounds (nodes x rounds) and `couple`
 more than 2^27 node-trials (nodes x trials), with exit 3, before any work.
 
-Options can come from a config file (--config, "key = value" lines, keys
-named like the long flags); explicit flags override file values. Every run
-is a pure function of (config, seed): reruns produce byte-identical files.
+Each flag has one default, declared with it in the parser (see --help).
+A config file (--config, "key = value" lines, each key a long flag of the
+subcommand) replaces those defaults, and explicit flags override it; every
+file value is checked as its flag's would be, even one a flag overrides.
+Every run is a pure function of (config, seed): reruns produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -65,8 +68,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        merged = _merge_config(args, commands[args.command])
-        return args.func(merged)
+        if args.config:
+            # Config values become the defaults, so flags still override them.
+            commands[args.command].set_defaults(**_read_config(args.config, commands[args.command]))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except (ParameterError, ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -86,79 +92,86 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(prog="localglauber", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, graph=True):
+    def add_common(p, instance=True, fmt="json"):
         p.add_argument("--config", help="config file with 'key = value' lines; flags override")
-        if graph:
+        if instance:
             src = p.add_argument_group("instance")
             src.add_argument("--graph", help="edge-list file ('u v' per line)")
             src.add_argument("--gen", choices=GENERATOR_FAMILIES, help="generator family")
             src.add_argument("--gen-args", help="generator parameters, e.g. n=8 or n=50,p=0.08")
             src.add_argument("--q", type=int, help="number of colors")
             src.add_argument("--alpha", type=float, help="colors as alpha * max_degree (exclusive with --q)")
-        p.add_argument("--gamma", help="marking probability in (0,1), or 'auto' for the optimizer")
-        p.add_argument("--seed", type=int, help=f"RNG seed (default {dynamics.DEFAULT_SEED})")
+            src.add_argument("--seed", type=int, default=dynamics.DEFAULT_SEED, help="RNG seed (default %(default)s)")
+        p.add_argument("--gamma", default="auto",
+                       help="marking probability in (0,1), or 'auto' for the optimizer (default %(default)s)")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format where applicable")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt,
+                       help="format of the primary output (default %(default)s)")
 
     p = sub.add_parser("sample", help="run the chain and emit the final coloring")
     add_common(p)
     p.add_argument("--rounds", type=int, help="rounds to run (default: mixing bound when delta > 0)")
-    p.add_argument("--eps", help="accuracy target for the default round count (default 0.25)")
-    p.add_argument("--init", choices=("zeros", "random", "greedy"), help="initial coloring (default zeros)")
+    p.add_argument("--eps", default="0.25", help="accuracy target for the default round count (default %(default)s)")
+    p.add_argument("--init", choices=("zeros", "random", "greedy"), default="zeros",
+                   help="initial coloring (default %(default)s)")
     p.add_argument("--trace", help="optional per-round summary CSV path")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("exact", help="exact checks, TV curve, and mixing times on a tiny instance")
     add_common(p)
-    p.add_argument("--eps", help="mixing-time eps, comma separated for a sweep (default 0.25)")
-    p.add_argument("--max-rounds", type=int, help="cap on TV-curve length (default 2000)")
+    p.add_argument("--eps", default="0.25", help="mixing-time eps, comma separated for a sweep (default %(default)s)")
+    p.add_argument("--max-rounds", type=int, default=2000, help="cap on TV-curve length (default %(default)s)")
     p.add_argument("--tv-out", help="optional TV curve CSV path")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("couple", help="contraction experiment over coupled steps")
     add_common(p)
-    p.add_argument("--trials", type=int, help="number of coupled trials (default 10000)")
-    p.add_argument("--pair-sampler", choices=coupling.PAIR_SAMPLERS, help="adjacent-pair sampler")
+    p.add_argument("--trials", type=int, default=10_000, help="number of coupled trials (default %(default)s)")
+    p.add_argument("--pair-sampler", choices=coupling.PAIR_SAMPLERS, default="uniform_random",
+                   help="adjacent-pair sampler (default %(default)s)")
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("analyze", help="bound sweep and gamma* table")
-    add_common(p, graph=False)
-    p.add_argument("--alphas", help="comma-separated alpha grid (default 2,2.1,2.5,3,4)")
-    p.add_argument("--delta-max", type=int, help="reference max degree for the bounds (default 2)")
-    p.add_argument("--mix-n", type=int, help="node count for the mixing-bound column (default 100)")
-    p.add_argument("--eps", help="eps for the mixing-bound column (default 0.01)")
+    add_common(p, instance=False, fmt="csv")
+    p.add_argument("--alphas", default="2,2.1,2.5,3,4", help="comma-separated alpha grid (default %(default)s)")
+    p.add_argument("--delta-max", type=int, default=2,
+                   help="reference max degree for the bounds (default %(default)s)")
+    p.add_argument("--mix-n", type=int, default=100,
+                   help="node count for the mixing-bound column (default %(default)s)")
+    p.add_argument("--eps", default="0.01", help="eps for the mixing-bound column (default %(default)s)")
     p.add_argument("--table-out", help="optional gamma* table CSV path")
     p.set_defaults(func=cmd_analyze)
 
     return parser, sub.choices
 
 
-def _merge_config(args, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Overlay config-file values under explicitly passed flags.
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The values of a config file's 'key = value' lines, by the dest of their flag.
 
-    Each value is converted and checked as its flag in `parser` would be,
-    so a value the flag would refuse is a usage error here too.
+    A key names a flag of `parser` other than --help and --config, and each
+    value is converted and checked as that flag's would be, so a value the
+    flag would refuse is a usage error here too.
     """
-    if getattr(args, "config", None):
-        actions = {action.dest: action for action in parser._actions}
-        try:
-            with open(args.config, "r", encoding="utf-8-sig") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise ParameterError(f"{args.config}: not UTF-8 text") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{args.config}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ParameterError(f"{args.config}:{lineno}: unknown key {key!r}")
-            if getattr(args, attr) is None:
-                setattr(args, attr, _convert(actions[attr], key, value))
-    return args
+    actions = {action.dest: action for action in parser._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
+    values = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        values.setdefault(action.dest, _convert(action, key, value))  # a repeated key keeps its first value
+    return values
 
 
 def _convert(action: argparse.Action, key: str, value: str):
@@ -202,7 +215,7 @@ def _build_graph(args) -> Graph:
                 if k in params:
                     raise ParameterError(f"--gen-args sets {k!r} twice")
                 params[k] = v
-        return generate(args.gen, seed=_seed(args), **params)
+        return generate(args.gen, seed=args.seed, **params)
     raise ParameterError("an instance is required: pass --graph FILE or --gen FAMILY")
 
 
@@ -221,15 +234,21 @@ def _resolve_q(args, g: Graph) -> int:
     raise ParameterError("pass --q INT or --alpha FLOAT")
 
 
-def _resolve_gamma(args, g: Graph, q: int):
-    """Returns (gamma, optimum-or-None); 'auto' uses the bound optimizer."""
-    raw = args.gamma if args.gamma is not None else "auto"
-    if str(raw) == "auto":
+def _instance(args) -> tuple[Graph, dynamics.ChainConfig]:
+    """The graph and chain config of a run; gamma 'auto' is the optimizer's, which must contract."""
+    g = _build_graph(args)
+    q = _resolve_q(args, g)
+    if args.gamma == "auto":
         if g.max_degree == 0:
             raise ParameterError("gamma=auto needs a graph with at least one edge")
-        opt = analysis.require_contractive_gamma(q / g.max_degree)
-        return opt.gamma, opt
-    return _number(raw, "gamma"), None
+        alpha = q / g.max_degree
+        opt = analysis.optimize_gamma(alpha)
+        if not opt.feasible:
+            raise InfeasibleError(f"no contractive gamma for alpha={alpha} (best delta={opt.delta:.3e})")
+        gamma = opt.gamma
+    else:
+        gamma = _number(args.gamma, "gamma")
+    return g, dynamics.ChainConfig(q=q, gamma=gamma, seed=args.seed)
 
 
 def _contraction_margin(g: Graph, q: int, gamma: float):
@@ -249,10 +268,6 @@ def _check_budget(g: Graph, count: int, what: str, budget: int) -> None:
             f"{g.node_count:,} nodes x {count:,} {what} = {work:,} node-{what}, "
             f"over the budget of {budget:,}"
         )
-
-
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else dynamics.DEFAULT_SEED
 
 
 def _fmt(x) -> str:
@@ -320,10 +335,8 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_eps_list(raw, default):
-    if raw is None:
-        return list(default)
-    values = [_number(tok, "eps") for tok in str(raw).split(",") if tok.strip()]
+def _parse_eps_list(raw):
+    values = [_number(tok, "eps") for tok in raw.split(",") if tok.strip()]
     if not values or any(not 0.0 < e for e in values):
         raise ParameterError(f"bad eps list {raw!r}")
     return values
@@ -332,29 +345,24 @@ def _parse_eps_list(raw, default):
 # ----------------------------------------------------------------- sample
 
 def cmd_sample(args) -> int:
-    g = _build_graph(args)
-    q = _resolve_q(args, g)
-    gamma, opt = _resolve_gamma(args, g, q)
-    seed = _seed(args)
-    cfg = dynamics.ChainConfig(q=q, gamma=gamma, seed=seed)
-    eps = _number(args.eps, "eps") if args.eps is not None else 0.25
+    g, cfg = _instance(args)
+    eps = _number(args.eps, "eps")
 
     if args.rounds is not None:
-        rounds = int(args.rounds)
+        rounds = args.rounds
     else:
-        delta = opt.delta if opt is not None else _contraction_margin(g, q, gamma)
+        delta = _contraction_margin(g, cfg.q, cfg.gamma)
         if delta is None or delta <= 0.0:
             raise ParameterError("no positive contraction margin at this gamma; pass --rounds explicitly")
         rounds = analysis.mixing_bound(delta, g.node_count, eps)
     _check_budget(g, rounds, "rounds", _NODE_ROUND_BUDGET)
 
-    init = args.init or "zeros"
-    if init == "zeros":
+    if args.init == "zeros":
         x0 = dynamics.zeros_coloring(g)
-    elif init == "random":
-        x0 = dynamics.random_coloring(g, q, stream(seed, 2**32))
+    elif args.init == "random":
+        x0 = dynamics.random_coloring(g, cfg.q, stream(cfg.seed, 2**32))
     else:
-        x0 = dynamics.greedy_coloring(g, q)
+        x0 = dynamics.greedy_coloring(g, cfg.q)
 
     final, trace = dynamics.run_chain_trace(g, cfg, x0, rounds)
     outputs = []
@@ -363,7 +371,7 @@ def cmd_sample(args) -> int:
             ("round", "marked", "accepted", "conflicts", "proper"),
             [(s.round_index, s.marked, s.accepted, s.conflicts, s.proper) for s in trace],
         ), args.trace))
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         text = _csv(("node", "color"), list(enumerate(final.tolist())))
     else:
         text = _json(
@@ -371,11 +379,11 @@ def cmd_sample(args) -> int:
                 "nodes": g.node_count,
                 "edges": g.edge_count,
                 "max_degree": g.max_degree,
-                "q": q,
-                "gamma": gamma,
-                "seed": seed,
+                "q": cfg.q,
+                "gamma": cfg.gamma,
+                "seed": cfg.seed,
                 "rounds": rounds,
-                "init": init,
+                "init": args.init,
                 "proper": dynamics.is_proper(g, final),
                 "colors": final.tolist(),
             }
@@ -387,14 +395,10 @@ def cmd_sample(args) -> int:
 # ------------------------------------------------------------------ exact
 
 def cmd_exact(args) -> int:
-    g = _build_graph(args)
-    q = _resolve_q(args, g)
-    gamma, _ = _resolve_gamma(args, g, q)
-    cfg = dynamics.ChainConfig(q=q, gamma=gamma, seed=_seed(args))
-    eps_list = _parse_eps_list(args.eps, (0.25,))
-    max_rounds = args.max_rounds if args.max_rounds is not None else 2000
+    g, cfg = _instance(args)
+    eps_list = _parse_eps_list(args.eps)
 
-    space = exact.StateSpace(g, q)
+    space = exact.StateSpace(g, cfg.q)
     P = exact.build_transition_matrix(g, cfg)
     checks = [
         exact.check_row_stochastic(P),
@@ -409,11 +413,11 @@ def cmd_exact(args) -> int:
     # has known node automorphisms; any graph admits color relabelling.
     autos = cycle_automorphisms(g.node_count) if args.gen == "cycle" else []
     starts = exact.symmetry_reduced_starts(space, autos)
-    curve = exact.tv_curve(P, space, starts=starts, max_rounds=max_rounds, stop_tv=min(eps_list))
+    curve = exact.tv_curve(P, space, starts=starts, max_rounds=args.max_rounds, stop_tv=min(eps_list))
     mixing = {}
     for eps in eps_list:
         res = exact.exact_mixing_time(P, space, eps, curve=curve)
-        mixing[_fmt(eps)] = res.rounds if not res.exceeded else f"exceeded max_rounds={max_rounds}"
+        mixing[_fmt(eps)] = res.rounds if not res.exceeded else f"exceeded max_rounds={args.max_rounds}"
 
     outputs = []
     if args.tv_out:
@@ -423,7 +427,7 @@ def cmd_exact(args) -> int:
             [(int(t), float(curve.max_tv[t]), float(default_tv[t])) for t in curve.rounds],
         ), args.tv_out))
 
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         rows = [(c.name, c.passed, c.max_error) for c in checks]
         rows.append((irreducible.name, irreducible.passed, irreducible.max_error))
         rows.extend((f"mixing_rounds[eps={k}]", "", v) for k, v in mixing.items())
@@ -431,8 +435,8 @@ def cmd_exact(args) -> int:
     else:
         report = {
             "nodes": g.node_count,
-            "q": q,
-            "gamma": gamma,
+            "q": cfg.q,
+            "gamma": cfg.gamma,
             "states": space.size,
             "proper_colorings": space.proper_count,
             "checks": {c.name: {"passed": c.passed, "max_error": c.max_error} for c in checks},
@@ -447,25 +451,20 @@ def cmd_exact(args) -> int:
 # ----------------------------------------------------------------- couple
 
 def cmd_couple(args) -> int:
-    g = _build_graph(args)
-    q = _resolve_q(args, g)
-    gamma, _ = _resolve_gamma(args, g, q)
-    cfg = dynamics.ChainConfig(q=q, gamma=gamma, seed=_seed(args))
-    trials = args.trials if args.trials is not None else 10_000
-    sampler = args.pair_sampler or "uniform_random"
-    _check_budget(g, trials, "trials", _NODE_TRIAL_BUDGET)
+    g, cfg = _instance(args)
+    _check_budget(g, args.trials, "trials", _NODE_TRIAL_BUDGET)
 
-    est = coupling.contraction_experiment(g, cfg, trials, pair_sampler=sampler, check_lemmas=True)
+    est = coupling.contraction_experiment(g, cfg, args.trials, pair_sampler=args.pair_sampler, check_lemmas=True)
     report = {
         "nodes": g.node_count,
-        "q": q,
-        "gamma": gamma,
+        "q": cfg.q,
+        "gamma": cfg.gamma,
         "seed": cfg.seed,
-        "pair_sampler": sampler,
+        "pair_sampler": args.pair_sampler,
         "trials": est.trials,
         "lemma_violations": est.lemma_failures,
     }
-    if trials > 0:
+    if args.trials > 0:
         report.update(
             {
                 "mean_phi": est.mean,
@@ -473,12 +472,12 @@ def cmd_couple(args) -> int:
                 "max_phi": est.max_phi,
             }
         )
-        delta = _contraction_margin(g, q, gamma)
+        delta = _contraction_margin(g, cfg.q, cfg.gamma)
         if delta is not None:
             report["delta_theory"] = delta
             report["bound_mean_phi"] = 1.0 - delta
             report["within_bound"] = bool(est.mean <= 1.0 - delta + 3.0 * est.stderr)
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         text = _csv(tuple(report.keys()), [tuple(report.values())])
     else:
         text = _json(report)
@@ -489,15 +488,13 @@ def cmd_couple(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
-    alphas = [_number(tok, "alpha") for tok in str(args.alphas or "2,2.1,2.5,3,4").split(",") if tok.strip()]
-    ref_degree = args.delta_max if args.delta_max is not None else 2
-    mix_n = args.mix_n if args.mix_n is not None else 100
-    eps = _number(args.eps, "eps") if args.eps is not None else 0.01
+    alphas = [_number(tok, "alpha") for tok in args.alphas.split(",") if tok.strip()]
+    eps = _number(args.eps, "eps")
 
     rows = []
     table = []
     for alpha in alphas:
-        if args.gamma is not None and str(args.gamma) != "auto":
+        if args.gamma != "auto":
             gamma = _number(args.gamma, "gamma")
             delta = analysis.delta_wrapup(alpha, gamma)
             feasible = delta > 0.0
@@ -506,15 +503,15 @@ def cmd_analyze(args) -> int:
             gamma, delta, feasible = opt.gamma, opt.delta, opt.feasible
         # The closed forms are continuous in q, so the sweep may use the
         # real-valued q = alpha * degree even when it is not a color count.
-        q = alpha * ref_degree
-        pb = analysis.path_bound(ref_degree, q, gamma)
-        vb = analysis.v0_bound(ref_degree, q, gamma)
-        mix = analysis.mixing_bound(delta, mix_n, eps) if feasible else "infeasible"
+        q = alpha * args.delta_max
+        pb = analysis.path_bound(args.delta_max, q, gamma)
+        vb = analysis.v0_bound(args.delta_max, q, gamma)
+        mix = analysis.mixing_bound(delta, args.mix_n, eps) if feasible else "infeasible"
         rows.append((alpha, gamma, pb, vb, vb + pb, delta, mix))
         table.append((alpha, gamma, delta, feasible))
 
     header = ("alpha", "gamma", "path_bound", "v0_bound", "combined", "delta", "mixing_bound_rounds")
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         outputs = [(_json([dict(zip(header, row)) for row in rows]), args.out)]
     else:
         outputs = [(_csv(header, rows), args.out)]

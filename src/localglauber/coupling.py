@@ -110,7 +110,9 @@ class CoupledStep:
 
 def coupled_step(g: Graph, pair: AdjacentPair, rr: RoundRandomness) -> CoupledStep:
     """One coupled round: shared marks, coupled proposals, the usual acceptance rule per chain."""
-    return _couple(g, pair.x, pair.y, [pair.v0], rr.marked, rr.proposal)
+    marked = np.asarray(rr.marked, dtype=bool)
+    draws = np.asarray(rr.proposal, dtype=np.int64)
+    return _couple(g, pair.x, pair.y, [pair.v0], marked, draws)
 
 
 # coupled_step is the one-pair call of the two functions below, which take
@@ -132,8 +134,6 @@ def _assign(g: Graph, x, y, v0, marked, draws):
     `draws` holds one uniform color per node, read only where marked. Layer
     d+1 collects the not-yet-layered nodes of S next to a flipped node of layer d.
     """
-    marked = np.asarray(marked, dtype=bool)
-    draws = np.asarray(draws, dtype=np.int64)
     r, b = x[v0], y[v0]
     n = len(x) // len(r)
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, vstack
 from scipy.sparse.csgraph import connected_components
 
-from .dynamics import ChainConfig, _clashes, validate_coloring
+from .dynamics import ChainConfig, _clashes
 from .errors import ParameterError, ResourceLimitError, ValidationError
 from .graph import Graph, _neighbors
 
@@ -54,17 +54,6 @@ class StateSpace:
         for u, v in graph.edges():
             self.proper_mask &= self.states[:, u] != self.states[:, v]
         self.proper_indices = np.flatnonzero(self.proper_mask)
-
-    def index_of(self, coloring) -> int:
-        """The index of a coloring: n integer colors in [0, q), else ValidationError."""
-        validate_coloring(self.graph, self.q, coloring)
-        return int(np.asarray(coloring, dtype=np.int64) @ self.q_powers)
-
-    def coloring_of(self, index: int) -> np.ndarray:
-        """The coloring with an index in [0, size), else ParameterError."""
-        if not 0 <= index < self.size:
-            raise ParameterError(f"state index {index} outside [0,{self.size})")
-        return self.states[index].astype(np.int64)
 
     @property
     def proper_count(self) -> int:

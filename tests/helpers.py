@@ -161,6 +161,16 @@ def address_space_limit(extra_bytes=1 << 30):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+def index_of(space, coloring) -> int:
+    """The state index of a coloring: its colors as base-q digits, node 0 the least significant."""
+    return sum(int(color) * space.q ** v for v, color in enumerate(coloring))
+
+
+def coloring_of(space, index: int) -> np.ndarray:
+    """The coloring whose state index is `index`, the inverse of index_of."""
+    return np.array([index // space.q ** v % space.q for v in range(space.graph.node_count)], dtype=np.int64)
+
+
 def reference_symmetry_reduced_starts(space, node_automorphisms):
     """The per-state loop `symmetry_reduced_starts` ran before it was vectorized."""
 

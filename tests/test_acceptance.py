@@ -16,7 +16,7 @@ from scipy import stats
 
 import localglauber as lg
 
-from helpers import couple_rows, sample_adjacent_pair, without_condition_ii
+from helpers import couple_rows, index_of, sample_adjacent_pair, without_condition_ii
 
 E = math.e
 
@@ -194,7 +194,7 @@ def test_criterion_4_coupling_marginal_validity(gamma_star_25):
         counts_x += np.bincount(step.x_next.reshape(-1, 3) @ space.q_powers, minlength=space.size)
         counts_y += np.bincount(step.y_next.reshape(-1, 3) @ space.q_powers, minlength=space.size)
     max_sigmas = 0.0
-    for counts, start in ((counts_x, space.index_of(x)), (counts_y, space.index_of(y))):
+    for counts, start in ((counts_x, index_of(space, x)), (counts_y, index_of(space, y))):
         row = P[start]
         freq = counts / trials
         assert np.all(counts[row == 0.0] == 0), "observed a transition with exact probability 0"

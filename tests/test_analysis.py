@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from localglauber import (
-    InfeasibleError,
     ParameterError,
     combined_bound,
     delta_wrapup,
@@ -13,7 +12,7 @@ from localglauber import (
     path_bound,
     v0_bound,
 )
-from localglauber.analysis import path_bound_partial_sums, require_contractive_gamma
+from localglauber.analysis import path_bound_partial_sums
 
 # Independent high-precision evaluation of the contraction margin at
 # (alpha=3, gamma=0.1), frozen from a 50-digit mpmath computation.
@@ -100,8 +99,6 @@ class TestOptimizeGamma:
     def test_alpha_two_infeasible(self):
         opt = optimize_gamma(2.0)
         assert not opt.feasible and opt.delta <= 0
-        with pytest.raises(InfeasibleError):
-            require_contractive_gamma(2.0)
 
     def test_small_alpha_margin_small(self):
         opt = optimize_gamma(2.01)

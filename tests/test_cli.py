@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -275,6 +276,11 @@ class TestAnalyze:
         assert tbl[0] == "alpha,gamma_star,delta_star,feasible"
         assert tbl[1].endswith("false")
 
+    def test_seed_is_refused(self, capsys):
+        # analyze reads no seed; it accepted one and ignored it.
+        assert run("analyze", "--alphas", "3", "--seed", "5") == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
     def test_explicit_gamma_sweep(self, tmp_path):
         out = tmp_path / "a.csv"
         assert run("analyze", "--alphas", "3", "--gamma", "0.1", "--out", str(out)) == 0
@@ -351,14 +357,16 @@ class TestConfigAndDeterminism:
         ("alpha", ("sample", "--config", "run.cfg", "--gamma", "0.3", "--rounds", "1"), 'alpha = "abc"'),
         ("alpha", ("sample", "--alpha", "nan", "--gamma", "0.3", "--rounds", "1"), ""),
         ("rounds", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3"), "rounds = abc"),
+        ("rounds", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3", "--rounds", "1"), "rounds = abc"),
         ("seed", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3", "--rounds", "1"), "seed = abc"),
         ("trials", ("couple", "--config", "run.cfg", "--q", "5", "--gamma", "0.3"), "trials = abc"),
         ("init", ("sample", "--config", "run.cfg", "--q", "5", "--gamma", "0.3", "--rounds", "1"), "init = bogus"),
-    ], ids=["gamma", "eps", "config-alpha", "alpha-nan", "config-rounds", "config-seed", "config-trials",
-            "config-init"])
+    ], ids=["gamma", "eps", "config-alpha", "alpha-nan", "config-rounds", "config-rounds-overridden", "config-seed",
+            "config-trials", "config-init"])
     def test_non_numeric_value_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, argv, config):
         # These ended in a ValueError or TypeError traceback; init = bogus
-        # ran a greedy start.
+        # ran a greedy start; a config value that a flag overrode went
+        # unchecked.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run.cfg").write_text(config + "\n")
         assert run(argv[0], "--gen", "cycle", "--gen-args", "n=5", *argv[1:]) == 1
@@ -450,10 +458,14 @@ class TestConfigAndDeterminism:
             assert run("sample", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(outs[-1])) == 0
         assert read(outs[0]) == read(outs[1])
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # func and command, which name no flag, and config, which a file
+        # cannot set, were accepted and ignored, with exit 0.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 12\n")
-        assert run("sample", "--config", str(cfg)) == 1
+        for key in ("bogus", "func", "command", "config"):
+            cfg.write_text(f"gen = cycle\ngen-args = n=4\nq = 3\ngamma = 0.3\nrounds = 1\n{key} = x\n")
+            assert run("sample", "--config", str(cfg)) == 1
+            assert capsys.readouterr().err == f"error: {cfg}:6: unknown key {key!r}\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = [
@@ -471,6 +483,72 @@ class TestConfigAndDeterminism:
             assert run(*argv, "--out", str(a)) in (0,)
             assert run(*argv, "--out", str(b)) in (0,)
             assert read(a) == read(b)
+
+
+# A base run of each command, and two values for each flag that takes one.
+# A flag's value replaces the base's; --graph drops --gen and --gen-args,
+# --alpha drops --q, and --eps drops --rounds, which would leave it unread.
+FLAG_BASES = {
+    "sample": {"--gen": "cycle", "--gen-args": "n=3", "--q": "6", "--gamma": "0.1", "--rounds": "3"},
+    "exact": {"--gen": "cycle", "--gen-args": "n=3", "--q": "6", "--gamma": "0.1"},
+    "couple": {"--gen": "cycle", "--gen-args": "n=3", "--q": "6", "--gamma": "0.1", "--trials": "20"},
+    "analyze": {"--alphas": "2.5,3"},
+}
+FLAG_VALUES = {
+    "--graph": ("../c4.txt", "../p3.txt"), "--gen": ("cycle", "path"), "--gen-args": ("n=3", "n=4"),
+    "--q": ("6", "7"), "--alpha": ("2.5", "3"), "--seed": ("1", "2"), "--gamma": ("0.1", "auto"),
+    "--out": ("a.txt", "b.txt"), "--format": ("csv", "json"), "--rounds": ("2", "5"), "--eps": ("0.5", "0.1"),
+    "--init": ("random", "greedy"), "--trace": ("t1.csv", "t2.csv"), "--max-rounds": ("3", "2000"),
+    "--tv-out": ("tv1.csv", "tv2.csv"), "--trials": ("10", "20"),
+    "--pair-sampler": ("proper_random", "uniform_random"), "--alphas": ("3", "2.5,4"), "--delta-max": ("3", "2"),
+    "--mix-n": ("50", "100"), "--table-out": ("g1.csv", "g2.csv"),
+}
+FLAG_DROPS = {"--graph": ("--gen", "--gen-args"), "--alpha": ("--q",), "--eps": ("--rounds",)}
+# exact reads its seed only through a random graph.
+FLAG_BASE_OVERRIDES = {("exact", "--seed"): {"--gen": "erdos_renyi", "--gen-args": "n=4,p=0.5"}}
+
+
+def _value_flags(command):
+    parser = cli._build_parser()[1][command]
+    return [action.option_strings[0] for action in parser._actions
+            if action.option_strings and action.nargs != 0 and action.dest != "config"]
+
+
+class TestFlagsAndConfigLines:
+    @pytest.fixture
+    def outputs(self, tmp_path, monkeypatch, capsys):
+        """Runs a command in a new directory, with optional config lines; returns code, stdout, stderr and files."""
+        (tmp_path / "c4.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+        (tmp_path / "p3.txt").write_text("0 1\n1 2\n")
+        runs = itertools.count()
+
+        def go(argv, config=None):
+            cwd = tmp_path / f"run{next(runs)}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            if config is not None:
+                (tmp_path / "run.cfg").write_text(config)
+                argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+            code = run(*argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, {p.name: read(p) for p in sorted(cwd.iterdir())}
+
+        return go
+
+    def test_every_flag_that_takes_a_value_is_covered(self):
+        assert sorted({flag for command in FLAG_BASES for flag in _value_flags(command)}) == sorted(FLAG_VALUES)
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c in FLAG_BASES for f in _value_flags(c)])
+    def test_config_line_equals_flag_and_flag_wins(self, outputs, command, flag):
+        base = {**FLAG_BASES[command], **FLAG_BASE_OVERRIDES.get((command, flag), {})}
+        kept = {k: v for k, v in base.items() if k != flag and k not in FLAG_DROPS.get(flag, ())}
+        argv = [command, *(arg for item in kept.items() for arg in item)]
+        value, other = FLAG_VALUES[flag]
+        key = flag[2:]
+        by_flag = outputs([*argv, flag, value])
+        assert by_flag[0] == 0 and by_flag != outputs([*argv, flag, other])
+        assert outputs(argv, f"{key} = {value}\n") == by_flag
+        assert outputs([*argv, flag, value], f"{key} = {other}\n") == by_flag
 
 
 GRID = ("--gen", "grid2d", "--gen-args", "rows=20,cols=20", "--alpha", "3", "--gamma", "auto", "--seed", "1")

@@ -249,6 +249,22 @@ class TestCoupledStep:
         assert step.x_next[0] == step.y_next[0] == 4
         assert hamming_distance(step.x_next, step.y_next) == 0
 
+    def test_list_valued_randomness_equals_arrays(self):
+        # Lists ended in numpy's "only integer scalar arrays" TypeError,
+        # raised in apply_proposals.
+        g = generate("cycle", n=5)
+        pair = make_pair([0, 1, 2, 3, 1], 0, 4)
+        marked, proposal = [True, True, False, True, False], [4, 4, 3, 0, 1]
+
+        def arrays(step):
+            return [step.x_next, step.y_next, step.proposals.cx, step.proposals.cy,
+                    step.layers.K, step.layers.S, step.layers.depth, step.layers.flipped]
+
+        from_lists = coupled_step(g, pair, RoundRandomness(marked, proposal))
+        from_arrays = coupled_step(g, pair, rr(marked, proposal))
+        assert from_arrays.layers.depth.max() == 1
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays(from_lists), arrays(from_arrays)))
+
     def test_x_side_equals_plain_dynamics(self):
         rng = np.random.default_rng(31)
         for _ in range(500):
