@@ -52,7 +52,8 @@ ratios = curve.max_tv[1:] / curve.max_tv[:-1]
 print(f"late-time TV decay ratio per round: {ratios[-1]:.4f} "
       f"(geometric decay, hence mixing ~ log(1/eps))")
 
-# From an improper start the improper mass dies off monotonically.
-masses = lg.improper_mass_curve(P, space, start_index=0, rounds=60)
+# From an improper start the improper mass dies off monotonically; the TV
+# curve records each start's improper mass as it goes.
+masses = lg.tv_curve(P, space, starts=[0], max_rounds=60).improper_mass[0]
 print(f"improper-state mass from the all-zeros start: "
       f"t=0: {masses[0]:.3f}  t=20: {masses[20]:.3e}  t=60: {masses[60]:.3e}")

@@ -4,7 +4,8 @@ The dataclasses that functions only return (ContractionEstimate,
 CouplingLayers, RoundStats, TVCurve, ...) are not exported here; they stay
 importable from the modules that define them. So do the helpers that only
 their own module calls: dynamics.draw_round_randomness and
-exact.stationary_uniform.
+exact.stationary_uniform. exact.analyze_chain, the whole exact pipeline
+that the CLI and the acceptance suite run, is imported from exact too.
 """
 
 from .analysis import combined_bound, delta_wrapup, mixing_bound, optimize_gamma, path_bound, v0_bound
@@ -17,8 +18,7 @@ from .errors import InfeasibleError, ParameterError, ParseError, ResourceLimitEr
 from .exact import (
     StateSpace, build_transition_matrix, check_absorption, check_detailed_balance,
     check_irreducibility, check_row_stochastic, check_uniform_stationary,
-    enumerate_proper_colorings, exact_mixing_time, improper_mass_curve, symmetry_reduced_starts,
-    tv_curve,
+    enumerate_proper_colorings, exact_mixing_time, symmetry_reduced_starts, tv_curve,
 )
 from .graph import Graph, cycle_automorphisms, generate, parse_edge_list
 
@@ -38,8 +38,7 @@ __all__ = [
     # exact
     "StateSpace", "build_transition_matrix", "check_absorption", "check_detailed_balance",
     "check_irreducibility", "check_row_stochastic", "check_uniform_stationary",
-    "enumerate_proper_colorings", "exact_mixing_time", "improper_mass_curve",
-    "symmetry_reduced_starts", "tv_curve",
+    "enumerate_proper_colorings", "exact_mixing_time", "symmetry_reduced_starts", "tv_curve",
     # graph
     "Graph", "cycle_automorphisms", "generate", "parse_edge_list",
 ]

@@ -41,7 +41,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .graph import GENERATOR_FAMILIES, Graph, cycle_automorphisms, generate, parse_edge_list
+from .graph import GENERATOR_FAMILIES, Graph, generate, parse_edge_list
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,7 +170,9 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-        values.setdefault(action.dest, _convert(action, key, value))  # a repeated key keeps its first value
+        if action.dest in values:
+            raise ParameterError(f"{path}:{lineno}: key {key!r} set twice")
+        values[action.dest] = _convert(action, key, value)
     return values
 
 
@@ -364,13 +366,14 @@ def cmd_sample(args) -> int:
     else:
         x0 = dynamics.greedy_coloring(g, cfg.q)
 
-    final, trace = dynamics.run_chain_trace(g, cfg, x0, rounds)
-    outputs = []
     if args.trace:
-        outputs.append((_csv(
+        final, trace = dynamics.run_chain_trace(g, cfg, x0, rounds)
+        outputs = [(_csv(
             ("round", "marked", "accepted", "conflicts", "proper"),
             [(s.round_index, s.marked, s.accepted, s.conflicts, s.proper) for s in trace],
-        ), args.trace))
+        ), args.trace)]
+    else:
+        final, outputs = dynamics.run_chain(g, cfg, x0, rounds), []
     if args.format == "csv":
         text = _csv(("node", "color"), list(enumerate(final.tolist())))
     else:
@@ -398,38 +401,19 @@ def cmd_exact(args) -> int:
     g, cfg = _instance(args)
     eps_list = _parse_eps_list(args.eps)
 
-    space = exact.StateSpace(g, cfg.q)
-    P = exact.build_transition_matrix(g, cfg)
-    checks = [
-        exact.check_row_stochastic(P),
-        exact.check_detailed_balance(P, space),
-        exact.check_uniform_stationary(P, space),
-        exact.check_absorption(P, space),
-    ]
-    irreducible = exact.check_irreducibility(P, space)
-
-    # Orbit representatives realize the maximum over all q^n starts; start 0
-    # is always the representative of its own orbit. Only a generated cycle
-    # has known node automorphisms; any graph admits color relabelling.
-    autos = cycle_automorphisms(g.node_count) if args.gen == "cycle" else []
-    starts = exact.symmetry_reduced_starts(space, autos)
-    curve = exact.tv_curve(P, space, starts=starts, max_rounds=args.max_rounds, stop_tv=min(eps_list))
-    mixing = {}
-    for eps in eps_list:
-        res = exact.exact_mixing_time(P, space, eps, curve=curve)
-        mixing[_fmt(eps)] = res.rounds if not res.exceeded else f"exceeded max_rounds={args.max_rounds}"
+    result = exact.analyze_chain(g, cfg, eps_list, args.max_rounds)
+    space, curve = result.space, result.curve
+    *checks, irreducible = result.checks
+    mixing = {_fmt(eps): rounds if rounds is not None else f"exceeded max_rounds={args.max_rounds}"
+              for eps, rounds in zip(eps_list, result.rounds)}
 
     outputs = []
-    if args.tv_out:
-        default_tv = curve.tv_from_start(0)
-        outputs.append((_csv(
-            ("t", "max_tv", "tv_from_default_start"),
-            [(int(t), float(curve.max_tv[t]), float(default_tv[t])) for t in curve.rounds],
-        ), args.tv_out))
+    if args.tv_out:  # the default start 0 is always the first orbit start
+        rows = zip(curve.rounds.tolist(), curve.max_tv.tolist(), curve.per_start[0].tolist())
+        outputs.append((_csv(("t", "max_tv", "tv_from_default_start"), rows), args.tv_out))
 
     if args.format == "csv":
-        rows = [(c.name, c.passed, c.max_error) for c in checks]
-        rows.append((irreducible.name, irreducible.passed, irreducible.max_error))
+        rows = [(c.name, c.passed, c.max_error) for c in result.checks]
         rows.extend((f"mixing_rounds[eps={k}]", "", v) for k, v in mixing.items())
         text = _csv(("check", "passed", "value"), rows)
     else:

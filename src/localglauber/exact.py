@@ -4,7 +4,7 @@ Enumerates all q^n colorings of a small graph, builds the exact one-round
 transition matrix of the local Glauber dynamics by summing over every
 (marking, proposal) combination, and derives detailed-balance /
 stationarity / absorption reports, total-variation curves, and exact
-mixing times from it.
+mixing times from it. analyze_chain runs that whole pipeline once.
 
 State indexing is the base-q encoding of the color vector with node 0 as
 the least significant digit, so index 0 is the all-zeros coloring.
@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .dynamics import ChainConfig, _clashes
 from .errors import ParameterError, ResourceLimitError, ValidationError
-from .graph import Graph, _neighbors
+from .graph import Graph, _neighbors, cycle_automorphisms, generate
 
 ENUMERATION_CAP_BITS = 24.0           # allow q^n states up to 2^24
 MATRIX_ENTRY_CAP = 2 ** 24            # allow q^n * q^n matrix entries up to 2^24
@@ -254,16 +254,11 @@ class TVCurve:
     start_indices: np.ndarray
     rounds: np.ndarray            # 0..T
     per_start: np.ndarray         # shape (len(start_indices), T+1)
+    improper_mass: np.ndarray     # same shape: each start's probability on improper states
     max_tv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.max_tv = self.per_start.max(axis=0)
-
-    def tv_from_start(self, index: int) -> np.ndarray:
-        pos = np.flatnonzero(self.start_indices == index)
-        if len(pos) == 0:
-            raise KeyError(f"start index {index} not tracked")
-        return self.per_start[pos[0]]
 
 
 def tv_curve(
@@ -273,7 +268,7 @@ def tv_curve(
     max_rounds: int = 10_000,
     stop_tv: float | None = None,
 ) -> TVCurve:
-    """Evolve point masses by repeated vector-matrix products and record TV.
+    """Evolve point masses by repeated vector-matrix products and record TV and improper mass.
 
     `starts` defaults to every state; to remain exact on larger instances,
     pass the output of symmetry_reduced_starts (TV from a start is constant
@@ -284,36 +279,36 @@ def tv_curve(
         raise ParameterError(f"max_rounds must be >= 0, got {max_rounds}")
     starts = np.arange(space.size) if starts is None else _check_starts(space, starts)
     mu = stationary_uniform(space)
+    improper = np.flatnonzero(~space.proper_mask)
     # Two starts x Q blocks: V holds the distributions, W receives V @ P and
     # then, once V is no longer needed, |V - mu| for the TV row.
     V = np.zeros((len(starts), space.size))
     W = np.empty_like(V)
     V[np.arange(len(starts)), starts] = 1.0
+    tv_rows, mass_rows = [], []
 
-    def tv_row(dist, scratch):
+    def record(dist, scratch):
+        mass_rows.append(dist[:, improper].sum(axis=1))
         np.abs(np.subtract(dist, mu, out=scratch), out=scratch)
-        return 0.5 * scratch.sum(axis=1)
+        tv_rows.append(0.5 * scratch.sum(axis=1))
 
-    tv_rows = [tv_row(V, W)]
+    record(V, W)
     t = 0
     while t < max_rounds:
         if stop_tv is not None and tv_rows[-1].max() <= stop_tv:
             break
         np.matmul(V, P, out=W)
         V, W = W, V
-        tv_rows.append(tv_row(V, W))
+        record(V, W)
         t += 1
     per_start = np.stack(tv_rows, axis=1)
-    return TVCurve(start_indices=starts, rounds=np.arange(per_start.shape[1]), per_start=per_start)
+    return TVCurve(start_indices=starts, rounds=np.arange(per_start.shape[1]), per_start=per_start,
+                   improper_mass=np.stack(mass_rows, axis=1))
 
 
 @dataclass
 class MixingResult:
     rounds: int | None            # None when the TV curve never reached eps
-
-    @property
-    def exceeded(self) -> bool:
-        return self.rounds is None
 
 
 def exact_mixing_time(
@@ -337,18 +332,34 @@ def exact_mixing_time(
     return MixingResult(rounds=int(hit[0]) if len(hit) else None)
 
 
-def improper_mass_curve(P: np.ndarray, space: StateSpace, start_index: int, rounds: int) -> np.ndarray:
-    """Total probability mass on improper states after each round from one start."""
-    if rounds < 0:
-        raise ParameterError(f"rounds must be >= 0, got {rounds}")
-    nu = np.zeros(space.size)
-    nu[_check_starts(space, [start_index])] = 1.0
-    improper = ~space.proper_mask
-    masses = [float(nu[improper].sum())]
-    for _ in range(rounds):
-        nu = nu @ P
-        masses.append(float(nu[improper].sum()))
-    return np.asarray(masses)
+@dataclass
+class ChainAnalysis:
+    space: StateSpace
+    checks: list[CheckReport]     # row sums, detailed balance, stationarity, absorption, irreducibility
+    curve: TVCurve                # from one start per symmetry orbit, start 0 first
+    rounds: list[int | None]      # exact mixing time per eps, None where the curve never reached it
+
+
+def analyze_chain(g: Graph, cfg: ChainConfig, eps_list, max_rounds: int) -> ChainAnalysis:
+    """The exact pipeline of a tiny instance: P, its five checks, the TV curve and the mixing times.
+
+    P is built once. The starts are one per orbit of colour relabelling,
+    and of the dihedral group too where g is the cycle 0-1-...-(n-1); the
+    curve runs until its maximum reaches min(eps_list) or for max_rounds
+    rounds, and every eps reads its mixing time from it.
+    """
+    if not eps_list or not all(0.0 < eps for eps in eps_list):
+        raise ParameterError(f"eps_list must be non-empty and positive, got {eps_list!r}")
+    space = StateSpace(g, cfg.q)
+    P = build_transition_matrix(g, cfg)
+    checks = [check_row_stochastic(P), *(check(P, space) for check in (
+        check_detailed_balance, check_uniform_stationary, check_absorption, check_irreducibility))]
+    n = g.node_count
+    autos = cycle_automorphisms(n) if n >= 3 and g.edges() == generate("cycle", n=n).edges() else []
+    starts = symmetry_reduced_starts(space, autos)
+    curve = tv_curve(P, space, starts=starts, max_rounds=max_rounds, stop_tv=min(eps_list))
+    rounds = [exact_mixing_time(P, space, eps, curve=curve).rounds for eps in eps_list]
+    return ChainAnalysis(space, checks, curve, rounds)
 
 
 def _check_starts(space: StateSpace, starts) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 from scipy import stats
 
 import localglauber as lg
+from localglauber.exact import analyze_chain
 
 from helpers import couple_rows, index_of, sample_adjacent_pair, without_condition_ii
 
@@ -268,9 +269,10 @@ EPS_LIST = (0.25, 0.25 / E, 0.25 / E**2)
 # its one build, since every n here is above the module's cap of 2^24.
 CRITERION8_ENTRY_CAP = 2**28
 # tv_curve holds two starts x Q float64 blocks at once: the distributions,
-# and their product with P, which doubles as the TV scratch (tracemalloc
-# peak on C6 with 36 starts: 2.03 blocks, the rest being the Q-vector mu).
-TV_BLOCKS = 2
+# and their product with P, which doubles as the TV scratch. Each round it
+# also gathers the improper columns for the improper mass (tracemalloc
+# peak on C6 with 36 starts: 2.79 blocks, of which 0.74 is that gather).
+TV_BLOCKS = 3
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -279,15 +281,13 @@ def test_criterion_8_log_mixing_probe(n, gamma_star_25, monkeypatch):
     g = lg.generate("cycle", n=n)
     cfg = lg.ChainConfig(q=q, gamma=gamma_star_25.gamma)
     states = q**n
-    space = lg.StateSpace(g, q)
-    reps = None
     if states * states > CRITERION8_ENTRY_CAP:
         with pytest.raises(lg.ResourceLimitError):
             lg.build_transition_matrix(g, cfg)  # the module's own cap refuses
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         need, parts = 8 * states * states, "the dense P alone"
         if need <= phys:  # the starts matter only when P fits (counting them takes ~2 s at n=8)
-            reps = lg.symmetry_reduced_starts(space, lg.cycle_automorphisms(n))
+            reps = lg.symmetry_reduced_starts(lg.StateSpace(g, q), lg.cycle_automorphisms(n))
             need += TV_BLOCKS * 8 * len(reps) * states
             parts = f"the dense P plus {TV_BLOCKS} TV blocks of {len(reps)} starts"
         if need > phys:
@@ -298,11 +298,10 @@ def test_criterion_8_log_mixing_probe(n, gamma_star_25, monkeypatch):
             )
 
     monkeypatch.setattr(lg.exact, "MATRIX_ENTRY_CAP", states * states)
-    P = lg.build_transition_matrix(g, cfg)
-    if reps is None:
-        reps = lg.symmetry_reduced_starts(space, lg.cycle_automorphisms(n))
-    curve = lg.tv_curve(P, space, starts=reps, stop_tv=min(EPS_LIST), max_rounds=800)
-    taus = [lg.exact_mixing_time(P, space, eps, curve=curve).rounds for eps in EPS_LIST]
+    result = analyze_chain(g, cfg, EPS_LIST, 800)
+    failed = [str(check) for check in result.checks if not check.passed]
+    assert failed == [], f"exact checks failed: {failed}"
+    curve, taus, reps = result.curve, result.rounds, result.curve.start_indices
     assert all(t is not None for t in taus), "TV did not reach the smallest eps within 800 rounds"
 
     # Geometric decay after burn-in: the last 20 successive max-TV ratios
@@ -322,7 +321,7 @@ def test_criterion_8_log_mixing_probe(n, gamma_star_25, monkeypatch):
     )
     report(
         f"8 (n={n})", True,
-        f"{len(reps)} orbit starts over {states} states; taus={taus}, "
+        f"5 checks pass; {len(reps)} orbit starts over {states} states; taus={taus}, "
         f"increments {diffs} (constant {center} +-1), tail ratio {tail.mean():.4f} "
         f"(spread {spread:.2%})",
     )

@@ -67,6 +67,19 @@ class TestSample:
         assert lines[0] == "round,marked,accepted,conflicts,proper"
         assert len(lines) == 4
 
+    def test_no_trace_without_trace_flag(self, tmp_path, monkeypatch):
+        # Without --trace the chain runs without the per-round statistics.
+        argv = ("sample", "--gen", "path", "--gen-args", "n=5", "--q", "4", "--gamma", "0.5", "--rounds", "3")
+        with_trace, without = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(*argv, "--out", str(with_trace), "--trace", str(tmp_path / "t.csv")) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace collected without --trace")
+
+        monkeypatch.setattr(cli.dynamics, "run_chain_trace", refuse)
+        assert run(*argv, "--out", str(without)) == 0
+        assert read(without) == read(with_trace)
+
     def test_graph_file_input(self, tmp_path):
         edges = tmp_path / "g.txt"
         edges.write_text("# toy\n0 1\n1 2\n")
@@ -226,7 +239,7 @@ C6 = ("--gen", "cycle", "--gen-args", "n=6", "--q", "5", "--gamma", "0.3")
 
 class TestWorkBudgets:
     @pytest.mark.parametrize("command,flag,budget,driver", [
-        ("sample", "--rounds", "_NODE_ROUND_BUDGET", (cli.dynamics, "run_chain_trace")),
+        ("sample", "--rounds", "_NODE_ROUND_BUDGET", (cli.dynamics, "run_chain")),
         ("couple", "--trials", "_NODE_TRIAL_BUDGET", (cli.coupling, "contraction_experiment")),
     ])
     def test_boundary(self, monkeypatch, capsys, command, flag, budget, driver):
@@ -466,6 +479,17 @@ class TestConfigAndDeterminism:
             cfg.write_text(f"gen = cycle\ngen-args = n=4\nq = 3\ngamma = 0.3\nrounds = 1\n{key} = x\n")
             assert run("sample", "--config", str(cfg)) == 1
             assert capsys.readouterr().err == f"error: {cfg}:6: unknown key {key!r}\n"
+
+    @pytest.mark.parametrize("first,second", [("rounds = 2", "rounds = 5"), ("gen-args = n=4", "gen_args = n=5")],
+                             ids=["same-key", "same-flag"])
+    def test_repeated_config_key_rejected(self, tmp_path, capsys, first, second):
+        # The first value was kept, while a repeated flag keeps its last one.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gen = cycle\nq = 3\ngamma = 0.3\n{first}\n{second}\n")
+        assert run("sample", "--config", str(cfg), "--gen-args", "n=4", "--rounds", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:5: key {second.split()[0]!r} set twice\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = [

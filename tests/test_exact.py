@@ -26,14 +26,14 @@ from localglauber import (
     enumerate_proper_colorings,
     exact_mixing_time,
     generate,
-    improper_mass_curve,
     optimize_gamma,
+    parse_edge_list,
     symmetry_reduced_starts,
     tv_curve,
 )
 from localglauber import exact
 from localglauber.dynamics import apply_proposals, draw_round_randomness
-from localglauber.exact import stationary_uniform
+from localglauber.exact import analyze_chain, stationary_uniform
 
 from helpers import (
     address_space_limit, coloring_of, index_of, reference_build_transition_matrix, reference_symmetry_reduced_starts,
@@ -231,10 +231,30 @@ class TestStationarityChecks:
         g = generate("cycle", n=4)
         space = StateSpace(g, 3)
         P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.4))
-        masses = improper_mass_curve(P, space, start_index=0, rounds=120)
+        masses = tv_curve(P, space, starts=[0], max_rounds=120).improper_mass[0]
+        assert len(masses) == 121
         assert masses[0] == 1.0  # all-zeros start is improper
         assert np.all(np.diff(masses) <= 1e-15)
         assert masses[-1] < 1e-3
+
+    def test_improper_mass_matches_one_start_propagation(self):
+        # Every start's row is the improper share of its own distribution,
+        # proper starts included (they keep none, by absorption).
+        g = generate("cycle", n=4)
+        space = StateSpace(g, 3)
+        P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.4))
+        starts = [0, 1, int(space.proper_indices[0])]
+        curve = tv_curve(P, space, starts=starts, max_rounds=15)
+        assert curve.improper_mass.shape == curve.per_start.shape == (3, 16)
+        for row, start in zip(curve.improper_mass, starts):
+            nu = np.zeros(space.size)
+            nu[start] = 1.0
+            expected = []
+            for _ in range(16):
+                expected.append(nu[~space.proper_mask].sum())
+                nu = nu @ P
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-15)
+        assert np.all(curve.improper_mass[2] == 0.0)
 
 
 class TestBlockedChecks:
@@ -314,23 +334,19 @@ class TestMixingTime:
         P = build_transition_matrix(g, ChainConfig(q=2, gamma=0.5))
         with pytest.raises(ParameterError, match="max_rounds must be >= 0"):
             tv_curve(P, space, max_rounds=-1)
-        with pytest.raises(ParameterError, match="rounds must be >= 0"):
-            improper_mass_curve(P, space, start_index=0, rounds=-1)
         assert tv_curve(P, space, max_rounds=0).rounds.tolist() == [0]
 
     @pytest.mark.parametrize("starts", [[-1], [0.5], [27], [], [[0, 1]], [True]],
                              ids=["negative", "float", "size", "empty", "2-D", "bool"])
     def test_foreign_starts_rejected(self, starts):
         # On C3 at q=3 (27 states), [-1] once ran from state 26 but recorded
-        # -1, [0.5] ran from state 0, and [27] and [] ended in numpy errors.
+        # -1, [0.5] ran from state 0, and [27] and [] ended in numpy errors;
+        # the TV curve and the improper mass it records share these starts.
         g = generate("cycle", n=3)
         space = StateSpace(g, 3)
         P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.3))
         with pytest.raises(ParameterError):
             tv_curve(P, space, starts=starts, max_rounds=2)
-        if np.ndim(starts) == 1 and len(starts) == 1:
-            with pytest.raises(ParameterError):
-                improper_mass_curve(P, space, starts[0], 2)  # -1 once ran from the last state
 
     def test_starts_of_any_integer_type_accepted(self):
         g = generate("cycle", n=3)
@@ -338,15 +354,17 @@ class TestMixingTime:
         P = build_transition_matrix(g, ChainConfig(q=3, gamma=0.3))
         curve = tv_curve(P, space, starts=np.array([26, 0], dtype=np.uint8), max_rounds=2)
         assert curve.start_indices.dtype == np.int64
-        assert np.array_equal(curve.tv_from_start(26), tv_curve(P, space, starts=[26], max_rounds=2).per_start[0])
-        assert np.array_equal(improper_mass_curve(P, space, np.int16(26), 2), improper_mass_curve(P, space, 26, 2))
+        one = tv_curve(P, space, starts=[26], max_rounds=2)
+        assert np.array_equal(curve.per_start[0], one.per_start[0])
+        small = tv_curve(P, space, starts=np.array([26], dtype=np.int16), max_rounds=2)
+        assert np.array_equal(small.improper_mass, one.improper_mass)
 
     def test_exceeded_reported_not_raised(self):
         g = generate("cycle", n=4)
         P = build_transition_matrix(g, ChainConfig(q=5, gamma=0.4))
         space = StateSpace(g, 5)
         res = exact_mixing_time(P, space, eps=0.01, curve=tv_curve(P, space, max_rounds=3))
-        assert res.exceeded and res.rounds is None
+        assert res.rounds is None
 
     def test_geometric_tail_on_triangle(self):
         # Log-dependence probe: with mu the uniform-proper target, the gap
@@ -422,3 +440,55 @@ class TestSymmetryReduction:
         g = generate("complete", n=3)
         with pytest.raises(ValidationError):
             stationary_uniform(StateSpace(g, 2))  # K3 has no proper 2-coloring
+
+
+CRITERION8_EPS = (0.25, 0.25 / np.e, 0.25 / np.e**2)
+
+
+class TestAnalyzeChain:
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return ChainConfig(q=5, gamma=optimize_gamma(2.5).gamma)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_the_pipeline_step_by_step(self, cfg, n):
+        g = generate("cycle", n=n)
+        space = StateSpace(g, cfg.q)
+        P = build_transition_matrix(g, cfg)
+        checks = [check_row_stochastic(P), check_detailed_balance(P, space), check_uniform_stationary(P, space),
+                  check_absorption(P, space), check_irreducibility(P, space)]
+        starts = symmetry_reduced_starts(space, cycle_automorphisms(n))
+        curve = tv_curve(P, space, starts=starts, stop_tv=min(CRITERION8_EPS), max_rounds=800)
+        rounds = [exact_mixing_time(P, space, eps, curve=curve).rounds for eps in CRITERION8_EPS]
+
+        result = analyze_chain(g, cfg, CRITERION8_EPS, 800)
+        assert result.checks == checks
+        assert [c.name for c in result.checks] == [
+            "row_stochastic", "detailed_balance", "uniform_stationary", "absorption", "irreducible_on_proper"]
+        for field in ("start_indices", "per_start", "max_tv", "improper_mass"):
+            assert np.array_equal(getattr(result.curve, field), getattr(curve, field)), field
+        assert result.rounds == rounds and None not in rounds
+        assert result.curve.start_indices[0] == 0
+
+    def test_starts_follow_the_graph(self, cfg):
+        # The dihedral group joins colour relabelling exactly where the edges
+        # are those of the cycle 0-1-...-(n-1), however the graph was made.
+        labelled = analyze_chain(parse_edge_list(b"0 1\n1 2\n2 3\n3 4\n4 0\n"), cfg, CRITERION8_EPS, 800)
+        relabelled = analyze_chain(parse_edge_list(b"0 2\n2 4\n4 1\n1 3\n3 0\n"), cfg, CRITERION8_EPS, 800)
+        dihedral = symmetry_reduced_starts(labelled.space, cycle_automorphisms(5))
+        assert len(dihedral) == 12
+        assert np.array_equal(labelled.curve.start_indices, dihedral)
+        assert np.array_equal(relabelled.curve.start_indices, symmetry_reduced_starts(relabelled.space, []))
+        assert len(relabelled.curve.start_indices) > 12
+        assert labelled.rounds == relabelled.rounds
+        triangle = analyze_chain(generate("complete", n=3), cfg, [0.25], 200)
+        assert len(triangle.curve.start_indices) == 3  # K3 is the 3-cycle
+
+    @pytest.mark.parametrize("eps_list", [[], [0.1, 0.0], [-0.25]], ids=["empty", "zero", "negative"])
+    def test_bad_eps_refused_before_building(self, cfg, monkeypatch, eps_list):
+        def refuse(*args):
+            raise AssertionError("P built for a bad eps list")
+
+        monkeypatch.setattr(exact, "build_transition_matrix", refuse)
+        with pytest.raises(ParameterError, match="eps_list"):
+            analyze_chain(generate("cycle", n=4), cfg, eps_list, 10)

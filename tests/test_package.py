@@ -14,7 +14,7 @@ from helpers import couple_rows
 
 RETURN_TYPES = {
     "ContractionReport", "GammaOptimum", "ContractionEstimate", "CoupledStep", "CouplingLayers",
-    "ProposalPair", "RoundStats", "CheckReport", "MixingResult", "TVCurve",
+    "ProposalPair", "RoundStats", "CheckReport", "MixingResult", "TVCurve", "ChainAnalysis",
 }
 
 
@@ -91,7 +91,7 @@ def test_every_export_has_a_caller_outside_tests():
                 if not any(re.search(rf"\b{name}\b", text) for path, text in texts.items()
                            if path.parent != root or path.stem != home[name])]
     assert uncalled == []
-    assert len(lg.__all__) == 43
+    assert len(lg.__all__) == 42
 
 
 def test_every_definition_has_a_caller_outside_tests():
@@ -117,6 +117,20 @@ def test_every_definition_has_a_caller_outside_tests():
                                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
     exempt = {"_stream._Key.generate_state"}
     assert [name for name in defined if name.rsplit(".", 1)[1] not in used and name not in exempt] == []
+
+
+def test_only_exact_calls_the_exact_pipeline():
+    # The transition matrix, its checks, the orbit starts, the TV curve and
+    # the mixing times are put together in one place, exact.analyze_chain;
+    # no other module of the package calls them.
+    root = pathlib.Path(lg.__file__).parent
+    pieces = {"build_transition_matrix", "symmetry_reduced_starts", "tv_curve", "exact_mixing_time",
+              *(name for name in vars(exact) if name.startswith("check_"))}
+    assert len(pieces) == 9
+    calls = sorted(f"{path.stem}: {name}" for path in root.glob("*.py") if path.stem != "exact"
+                   for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+                   for name in [getattr(node.func, "id", getattr(node.func, "attr", None))] if name in pieces)
+    assert calls == []
 
 
 def test_return_types_are_not_exported_but_importable():
